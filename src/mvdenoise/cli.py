@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .denoiser import DenoiseConfig, baseline_universal, calibrate_thresholds, denoise
+from .denoiser import DenoiseConfig, baseline_universal, calibrate_threshold, denoise
 from .gofstat import GofDecision, gof_test, mahalanobis_edf, make_reference, ad_statistic
 from .robustcov import CovarianceMatrix, mcd_estimate
 from .siggen import NoiseSpec, add_noise, average_snr_db, make_signal, snr_db
@@ -128,7 +128,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-l", type=int, default=None)
     p.add_argument("--pfa", type=float, default=0.005)
     p.add_argument("--calib-reps", type=int, default=1000)
-    p.add_argument("--eval-mode", choices=("gamma", "series", "paper-literal-ad"), default="gamma")
     p.add_argument("--boundary", choices=("periodic", "symmetric"), default="periodic")
 
 
@@ -140,7 +139,6 @@ def _config_from(args) -> DenoiseConfig:
         p_fa=args.pfa,
         calibration_reps=args.calib_reps,
         seed=args.seed,
-        eval_mode=args.eval_mode,
         boundary=args.boundary,
     )
     try:
@@ -203,6 +201,7 @@ def cmd_denoise(args) -> int:
         ],
         "keep_masks": [mask.astype(int).tolist() for mask in report.keep_masks],
         "retained_fraction": report.retained_fraction().tolist(),
+        "null_retention_sd": report.null_retention_sd.tolist(),
         "sigma": report.sigma.sigma.tolist(),
         "warnings": report.warnings_issued,
     }
@@ -228,17 +227,13 @@ def cmd_gof(args) -> int:
             sigma = mcd_estimate(x, rng)
         except ValueError as exc:
             raise GeometryError(str(exc)) from exc
-    dist = make_reference(m, eval_mode="series" if cfg.eval_mode == "series" else "gamma")
-    formula = "literal" if cfg.eval_mode == "paper-literal-ad" else "standard"
-    edf = mahalanobis_edf(x, sigma)
-    tau = ad_statistic(edf, dist, formula=formula)
+    tau = ad_statistic(mahalanobis_edf(x, sigma), make_reference(m))
     # the whole dataset is one window: the scale-1 block of 2n periodic white
     # noise samples holds n iid rows, the covariance is fitted on those same
     # rows, and a window wider than the block scores them all at once.  With
     # --sigma-source=file the statistic uses a known covariance and the
     # plug-in threshold is conservative.
-    single = dataclasses.replace(cfg, window_l=n + n % 2, levels=1, boundary="periodic", cov_scales=(1,))
-    threshold = calibrate_thresholds(m, 2 * n, single)[0]
+    threshold = calibrate_threshold(m, n, dataclasses.replace(cfg, window_l=n + n % 2))
     decision = gof_test(tau, threshold)
     if args.json:
         print(json.dumps({"tau": tau, "threshold": threshold, "decision": decision.value, "n": n, "channels": m}))

@@ -23,9 +23,8 @@ from . import gofstat
 from .gofstat import ReferenceDistribution, make_reference, reference_cdf
 from .robustcov import CovarianceMatrix, SingularCovarianceError, mcd_estimate
 from .siggen import average_snr_db, snr_db
-from .wavelet import WaveletDecomposition, dwt_forward, dwt_inverse, get_filter
+from .wavelet import dwt_forward, dwt_inverse, get_filter
 
-EVAL_MODES = ("gamma", "series", "paper-literal-ad")
 _CAL_CHUNK_VALUES = 6_000_000  # cap on reps*block*window floats held at once
 
 
@@ -44,11 +43,7 @@ class DenoiseConfig:
     p_fa: float = 0.005
     calibration_reps: int = 1000
     seed: int | None = None
-    eval_mode: str = "gamma"
     boundary: str = "periodic"
-    window_mode: str = "sliding"  # "sliding" | "tiling"
-    cov_scales: tuple = (1,)
-    baseline_threshold: str = "hard"  # "hard" | "soft"
 
     def validate(self) -> None:
         if not 0.0 < self.p_fa < 0.5:
@@ -57,18 +52,10 @@ class DenoiseConfig:
             raise ValueError("calibration_reps must be >= 100")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
-        if self.eval_mode not in EVAL_MODES:
-            raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
-        if self.window_mode not in ("sliding", "tiling"):
-            raise ValueError("window_mode must be 'sliding' or 'tiling'")
         if self.boundary not in ("periodic", "symmetric"):
             raise ValueError("boundary must be 'periodic' or 'symmetric'")
-        if self.baseline_threshold not in ("hard", "soft"):
-            raise ValueError("baseline_threshold must be 'hard' or 'soft'")
         if self.window_l is not None and (self.window_l < 2 or self.window_l % 2):
             raise ValueError("window_l must be a positive even integer")
-        if not self.cov_scales or any(k < 1 or k > self.levels for k in self.cov_scales):
-            raise ValueError("cov_scales must name scales within 1..levels")
 
     def window_size(self, n_channels: int) -> int:
         return self.window_l if self.window_l is not None else 28 * n_channels
@@ -103,13 +90,6 @@ class DenoiseReport:
         return np.array([float(m.mean()) for m in self.keep_masks])
 
 
-def _reference_for(config: DenoiseConfig, dims: int):
-    """Reference distribution and AD formula variant implied by eval_mode."""
-    if config.eval_mode == "series":
-        return make_reference(dims, eval_mode="series"), "standard"
-    return make_reference(dims), "literal" if config.eval_mode == "paper-literal-ad" else "standard"
-
-
 def _sliding_index_matrix(block_len: int, window: int) -> np.ndarray:
     # one window centered at each index; boundary indices reflect (0 -> 2,1,0,1,2)
     half = (window - 1) // 2
@@ -118,54 +98,16 @@ def _sliding_index_matrix(block_len: int, window: int) -> np.ndarray:
     return np.where(idx > block_len - 1, 2 * (block_len - 1) - idx, idx)
 
 
-def sliding_windows(block, window_l: int):
-    """Iterate ``(index, (L+1, M) window)`` pairs over a coefficient block.
-
-    Windows are centered on each coefficient with symmetric index reflection
-    at the boundaries; blocks shorter than L+1 yield the whole block at every
-    index.
-    """
-    b = np.atleast_2d(np.asarray(block, dtype=np.float64))
-    if b.shape[0] == 1 and b.shape[1] > 1 and np.asarray(block).ndim == 1:
-        b = b.T
-    n = b.shape[0]
-    if n < 2:
-        raise ValueError("block must contain at least two coefficients")
-    if window_l < 2 or window_l % 2:
-        raise ValueError("window size L must be a positive even integer")
-    if n < window_l + 1:
-        for i in range(n):
-            yield i, b
-        return
-    idx = _sliding_index_matrix(n, window_l + 1)
-    for i in range(n):
-        yield i, b[idx[i]]
-
-
-def _rank_weights(w: int, formula: str):
-    # Weight vectors applied to the ascending log CDF values of a window.
-    # Standard form: tau = -w - (1/w)[sum (2l-1) lnF_(l) + sum (2l-1) ln(1-F)_(asc l)]
+def _ad_from_windows(lf_w: np.ndarray, l1f_w: np.ndarray) -> np.ndarray:
+    # lf_w / l1f_w: (..., w) unsorted window views of ln F and ln(1-F).
+    # tau = -w - (1/w)[sum (2l-1) lnF_(l) + sum (2l-1) ln(1-F)_(asc l)]
     # (ln(1-F) sorted ascending enumerates F descending, which is the usual
-    # reversed-index pairing).  The literal difference-of-logs variant reduces
-    # to a single weighted sum over sorted lnF.
-    base = 2.0 * np.arange(1, w + 1) - 1.0
-    if formula == "standard":
-        return base, base
-    mirror = np.zeros(w)
-    mirror[: w - 1] = 2.0 * w - 1.0 - 2.0 * np.arange(1, w)
-    mirror[0] += 2.0 * w - 1.0  # out-of-range index clamps to the minimum
-    return base - mirror, None
-
-
-def _ad_from_windows(lf_w: np.ndarray, l1f_w: np.ndarray | None, formula: str) -> np.ndarray:
-    # lf_w / l1f_w: (..., w) unsorted window views of ln F and ln(1-F)
+    # reversed-index pairing).
     w = lf_w.shape[-1]
-    wf, w1 = _rank_weights(w, formula)
-    s = np.sort(lf_w, axis=-1) @ wf.astype(lf_w.dtype)
-    if formula == "standard":
-        s = s + np.sort(l1f_w, axis=-1) @ w1.astype(l1f_w.dtype)
-        return -w - s / w
-    return (w - 1) - s / (w - 1)
+    weights = 2.0 * np.arange(1, w + 1) - 1.0
+    s = np.sort(lf_w, axis=-1) @ weights.astype(lf_w.dtype)
+    s = s + np.sort(l1f_w, axis=-1) @ weights.astype(l1f_w.dtype)
+    return -w - s / w
 
 
 def _block_logs(dist: ReferenceDistribution, y: np.ndarray):
@@ -173,32 +115,21 @@ def _block_logs(dist: ReferenceDistribution, y: np.ndarray):
     return gofstat.clamped_log_cdf(f)
 
 
-def _tau_from_logs(lf: np.ndarray, l1f: np.ndarray, window: int, formula: str, mode: str) -> np.ndarray:
+def _tau_from_logs(lf: np.ndarray, l1f: np.ndarray, window: int) -> np.ndarray:
     # lf, l1f: (..., B) per-coefficient log CDF values of one or more blocks;
-    # window is the full window size (odd).  Returns per-coefficient tau.
+    # window is the full window size (odd).  Returns per-coefficient tau; a
+    # block shorter than the window is scored as one shared window.
     b = lf.shape[-1]
     if b < window:
-        tau = _ad_from_windows(lf, l1f, formula)
+        tau = _ad_from_windows(lf, l1f)
         return np.repeat(tau[..., None], b, axis=-1)
-    if mode == "sliding":
-        idx = _sliding_index_matrix(b, window)
-        return _ad_from_windows(lf[..., idx], None if l1f is None else l1f[..., idx], formula)
-    # tiling: non-overlapping windows, remainder merged into the final tile
-    lf2 = np.atleast_2d(lf)
-    l1f2 = np.atleast_2d(l1f) if l1f is not None else None
-    tau = np.empty_like(lf2)
-    n_tiles = max(b // window, 1)
-    for t in range(n_tiles):
-        lo = t * window
-        hi = b if t == n_tiles - 1 else (t + 1) * window
-        cell = _ad_from_windows(lf2[:, lo:hi], None if l1f2 is None else l1f2[:, lo:hi], formula)
-        tau[:, lo:hi] = cell[:, None]
-    return tau.reshape(lf.shape)
+    idx = _sliding_index_matrix(b, window)
+    return _ad_from_windows(lf[..., idx], l1f[..., idx])
 
 
-def _block_tau(y_block: np.ndarray, dist: ReferenceDistribution, window: int, formula: str, mode: str) -> np.ndarray:
+def _block_tau(y_block: np.ndarray, dist: ReferenceDistribution, window: int) -> np.ndarray:
     lf, l1f = _block_logs(dist, np.atleast_2d(y_block))
-    out = _tau_from_logs(lf, l1f, window, formula, mode)
+    out = _tau_from_logs(lf, l1f, window)
     return out[0] if np.asarray(y_block).ndim == 1 else out
 
 
@@ -206,13 +137,12 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, rng):
     """Simulate the statistic ``denoise`` computes on pure noise, per scale.
 
     Each replication draws white noise, decomposes it, estimates the noise
-    covariance from its own ``cov_scales`` blocks with the estimator
-    ``denoise`` uses, whitens every scale with that estimate and scores the
-    windows.  The estimate is in-sample at the scales it was fitted on and
-    out-of-sample elsewhere, exactly as on real data.  The MCD estimate about
-    zero is affine equivariant and the transform acts channel-wise, so the
-    resulting law is the same for every noise covariance: drawing from
-    N(0, I) loses nothing.
+    covariance from its own finest-scale block with the estimator ``denoise``
+    uses, whitens every scale with that estimate and scores the windows.  The
+    estimate is in-sample at scale 1 and out-of-sample elsewhere, exactly as
+    on real data.  The MCD estimate about zero is affine equivariant and the
+    transform acts channel-wise, so the resulting law is the same for every
+    noise covariance: drawing from N(0, I) loses nothing.
 
     Returns one (reps, values per replication) array per scale.  Shrunk
     blocks (shorter than the window) have one shared window per replication
@@ -222,7 +152,7 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, rng):
     """
     reps = config.calibration_reps
     window = config.window_size(m)
-    dist, formula = _reference_for(config, m)
+    dist = make_reference(m)
     filt = get_filter(config.filter_name)
     child_seeds = rng.integers(np.iinfo(np.int64).max, size=reps)
     chunk = max(1, min(reps, _CAL_CHUNK_VALUES // max(n_samples * (window + 1) // 2, 1)))
@@ -237,8 +167,7 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, rng):
         # v -> v^T sigma_r^{-1} v evaluated as |ichol_r v|^2, one factor per replication
         ichol = np.empty((c, m, m))
         for j, g in enumerate(gens):
-            rows = np.vstack([details[k - 1][:, j] for k in config.cov_scales])
-            chol = _noise_covariance(rows, g).chol
+            chol = _noise_covariance(details[0][:, j], g).chol
             ichol[j] = sla.solve_triangular(chol, np.eye(m), lower=True)
         for k, d in enumerate(details):
             bl = d.shape[0]
@@ -247,14 +176,11 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, rng):
             lf, l1f = _block_logs(dist, y)
             # single precision for the window gather/sort: quantile error from
             # the Monte Carlo sampling dwarfs the rounding here
-            lf = lf.astype(np.float32)
-            l1f = l1f.astype(np.float32) if formula == "standard" else None
+            tau = _tau_from_logs(lf.astype(np.float32), l1f.astype(np.float32), window + 1)
             if bl < window + 1:
                 # one shared window per realization: pool a single value each
-                tau = _ad_from_windows(lf, l1f, formula)
-            else:
-                tau = _tau_from_logs(lf, l1f, window + 1, formula, config.window_mode)
-            pools[k].append(np.asarray(tau, dtype=np.float64).reshape(c, -1))
+                tau = tau[:, :1]
+            pools[k].append(np.asarray(tau, dtype=np.float64))
     return [np.concatenate(p) for p in pools]
 
 
@@ -287,9 +213,6 @@ def _plugin_null(m: int, n_samples: int, config: DenoiseConfig):
         config.levels,
         config.boundary,
         config.window_size(m),
-        config.window_mode,
-        config.eval_mode,
-        tuple(config.cov_scales),
         config.p_fa,
         reps,
     )
@@ -309,7 +232,7 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     The null is the statistic ``denoise`` computes when its input is pure
     Gaussian noise, covariance estimate included: every one of
     ``calibration_reps`` simulated signals of ``n_samples`` rows is whitened
-    with its own MCD estimate from the ``cov_scales`` blocks, and every window
+    with its own MCD estimate from the finest-scale block, and every window
     position of every replication contributes to the null sample of its scale.
     Whitening by a known covariance instead would give a null with lighter
     tails than the statistic actually used, and a false-alarm rate above
@@ -332,12 +255,8 @@ def calibrate_threshold(n_channels: int, scale_len: int, config: DenoiseConfig) 
     """
     if scale_len < 2:
         raise ValueError("scale_len must be >= 2")
-    single = replace(config, levels=1, cov_scales=(1,), boundary="periodic")
+    single = replace(config, levels=1, boundary="periodic")
     return float(calibrate_thresholds(n_channels, 2 * scale_len, single)[0])
-
-
-def _covariance_rows(dec: WaveletDecomposition, config: DenoiseConfig) -> np.ndarray:
-    return np.vstack([dec.details[k - 1] for k in config.cov_scales])
 
 
 def _noise_covariance(rows: np.ndarray, rng) -> CovarianceMatrix:
@@ -379,21 +298,19 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None, clean=None):
     if dec.approx.shape[0] < 2:
         raise ValueError("signal too short: coarsest block needs at least two coefficients")
     window = config.window_size(m)
-    if window % 2 or window < 2:
-        raise ValueError("window size L must be a positive even integer")
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sigma = _noise_covariance(_covariance_rows(dec, config), rng)
+        sigma = _noise_covariance(dec.details[0], rng)
         thresholds, null_sd = _plugin_null(m, n + dec.pad, config)
-    dist, formula = _reference_for(config, m)
+    dist = make_reference(m)
 
     taus = []
     masks = []
     new_details = []
     for k, d in enumerate(dec.details):
         y = sigma.quadratic_form(d)
-        tau = _block_tau(y, dist, window + 1, formula, config.window_mode)
+        tau = _block_tau(y, dist, window + 1)
         keep = tau >= thresholds[k]
         taus.append(tau)
         masks.append(keep)
@@ -437,7 +354,8 @@ def baseline_universal(x, config: DenoiseConfig | None = None, rng=None) -> np.n
     Per-channel thresholds sqrt(2 * lam_m * log N) are built from the
     eigenvalues of the robust noise covariance estimate; the largest
     eigenvalue is assigned to the channel with the largest estimated noise
-    variance, and so on down the ranking.  Hard thresholding by default.
+    variance, and so on down the ranking.  Coefficients below their
+    channel's threshold are zeroed (hard thresholding).
     """
     config = config or DenoiseConfig()
     config.validate()
@@ -451,16 +369,11 @@ def baseline_universal(x, config: DenoiseConfig | None = None, rng=None) -> np.n
     dec = dwt_forward(x, filt, config.levels, config.boundary)
     if dec.approx.shape[0] < 2:
         raise ValueError("signal too short: coarsest block needs at least two coefficients")
-    sigma = _noise_covariance(_covariance_rows(dec, config), rng)
+    sigma = _noise_covariance(dec.details[0], rng)
 
     thresholds = np.empty(m)
     channel_rank = np.argsort(-np.diag(sigma.sigma), kind="stable")
     thresholds[channel_rank] = np.sqrt(2.0 * sigma.eigenvalues * math.log(n))
 
-    new_details = []
-    for d in dec.details:
-        if config.baseline_threshold == "hard":
-            new_details.append(np.where(np.abs(d) < thresholds[None, :], 0.0, d))
-        else:
-            new_details.append(np.sign(d) * np.maximum(np.abs(d) - thresholds[None, :], 0.0))
+    new_details = [np.where(np.abs(d) < thresholds[None, :], 0.0, d) for d in dec.details]
     return dwt_inverse(dec.copy_with_details(new_details))

@@ -244,20 +244,14 @@ def clamped_log_cdf(f: np.ndarray):
     return np.log(f), np.log1p(-f)
 
 
-def ad_statistic(edf: MahalanobisEdf, dist: ReferenceDistribution, formula: str = "standard") -> float:
+def ad_statistic(edf: MahalanobisEdf, dist: ReferenceDistribution) -> float:
     """Anderson-Darling distance between the window EDF and the reference CDF.
 
-    The "standard" formula is the usual order-statistic form
+    The usual order-statistic form (Stephens 1974)
 
         tau = -n - (1/n) sum_l (2l - 1) [ln F0(y_(l)) + ln(1 - F0(y_(n+1-l)))].
 
-    ``formula="literal"`` evaluates the difference-of-logs variant
-
-        tau = L - sum_{l=1}^{L+1} ((2l - 1)/L) (ln F0(y_(l)) - ln F0(y_(L+1-l)))
-
-    with L = n - 1 and the out-of-range index y_(0) clamped to y_(1); it exists
-    for comparison only.  Either way the result is finite: CDF values are
-    clamped before the logarithms.
+    The result is finite: CDF values are clamped before the logarithms.
     """
     n = edf.n
     if n < 2:
@@ -265,15 +259,8 @@ def ad_statistic(edf: MahalanobisEdf, dist: ReferenceDistribution, formula: str 
     f = reference_cdf(dist, edf.sorted_sq_mds)
     logf, log1mf = clamped_log_cdf(f)
     weights = 2.0 * np.arange(1, n + 1) - 1.0
-    if formula == "standard":
-        s = np.sum(weights * (logf + log1mf[::-1]))
-        return float(-n - s / n)
-    if formula == "literal":
-        big_l = n - 1
-        mirror = np.maximum(n - np.arange(1, n + 1), 1) - 1
-        s = np.sum(weights / big_l * (logf - logf[mirror]))
-        return float(big_l - s)
-    raise ValueError(f"unknown formula {formula!r}")
+    s = np.sum(weights * (logf + log1mf[::-1]))
+    return float(-n - s / n)
 
 
 def gof_test(tau: float, threshold: float) -> GofDecision:

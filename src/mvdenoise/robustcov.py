@@ -240,14 +240,3 @@ def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
         sigma = sigma + (1e-10 * np.trace(sigma) / m) * np.eye(m)
         return CovarianceMatrix.from_matrix(sigma)
 
-
-def eigen(sigma):
-    """Descending eigenvalues and orthonormal eigenvectors of a symmetric PD matrix.
-
-    Accepts a :class:`CovarianceMatrix` or a raw symmetric array.  The
-    eigenvalues of the inverse are the reciprocals of the returned ones.
-    """
-    if isinstance(sigma, CovarianceMatrix):
-        return sigma.eigenvalues.copy(), sigma.eigenvectors.copy()
-    cov = CovarianceMatrix.from_matrix(sigma)
-    return cov.eigenvalues, cov.eigenvectors

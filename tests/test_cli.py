@@ -71,6 +71,9 @@ def test_denoise_roundtrip_with_clean_reference(tmp_path):
     report = json.loads((den / "report.json").read_text())
     assert len(report["thresholds"]) == 5
     assert len(report["keep_masks"]) == 5
+    sd = np.asarray(report["null_retention_sd"], dtype=float)
+    assert sd.shape == (5,)
+    assert np.isfinite(sd).all() and (sd >= 0).all()
     # report SNR equals the offline recomputation
     clean = read_csv(gen / "clean.csv")
     offline = snr_db(clean, est)

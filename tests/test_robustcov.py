@@ -4,7 +4,6 @@ import pytest
 from mvdenoise.robustcov import (
     CovarianceMatrix,
     SingularCovarianceError,
-    eigen,
     mcd_estimate,
     sample_covariance,
 )
@@ -47,10 +46,10 @@ def test_quadratic_form_positive_definite():
 
 
 def test_eigen_identity_and_diagonal():
-    w, b = eigen(np.eye(3))
-    assert np.allclose(w, 1.0)
-    assert np.allclose(b.T @ b, np.eye(3), atol=1e-10)
-    w, _ = eigen(np.diag([4.0, 1.0]))
+    cov = CovarianceMatrix.from_matrix(np.eye(3))
+    assert np.allclose(cov.eigenvalues, 1.0)
+    assert np.allclose(cov.eigenvectors.T @ cov.eigenvectors, np.eye(3), atol=1e-10)
+    w = CovarianceMatrix.from_matrix(np.diag([1.0, 4.0])).eigenvalues
     assert np.allclose(w, [4.0, 1.0])
     assert np.allclose(1.0 / w, [0.25, 1.0])
 
@@ -59,7 +58,8 @@ def test_eigen_reconstructs_random_spd():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5))
     sigma = a @ a.T + 5 * np.eye(5)
-    w, b = eigen(sigma)
+    cov = CovarianceMatrix.from_matrix(sigma)
+    w, b = cov.eigenvalues, cov.eigenvectors
     assert np.abs(b @ np.diag(w) @ b.T - sigma).max() < 1e-10
     assert np.abs(b.T @ sigma @ b - np.diag(w)).max() < 1e-10
     assert np.abs(b.T @ b - np.eye(5)).max() < 1e-10
@@ -68,7 +68,7 @@ def test_eigen_reconstructs_random_spd():
 
 def test_eigen_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
-        eigen(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        CovarianceMatrix.from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_mcd_clean_gaussian_close_to_identity():
