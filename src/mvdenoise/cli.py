@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .denoiser import DenoiseConfig, baseline_universal, calibrate_threshold, denoise
+from .denoiser import _NULL_CACHE, DenoiseConfig, _precalibrate, baseline_universal, calibrate_threshold, denoise
 from .gofstat import GofDecision, gof_test, mahalanobis_edf, make_reference, ad_statistic
 from .robustcov import CovarianceMatrix, mcd_estimate
 from .siggen import NoiseSpec, add_noise, average_snr_db, make_signal, snr_db
@@ -159,14 +159,18 @@ def _parse_snr_spec(text: str) -> object:
     return vals[0] if len(vals) == 1 else vals
 
 
+def _named_signal(name: str, n: int):
+    try:
+        return make_signal(name, n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_generate(args) -> int:
     cfg = _config_from(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        signal = make_signal(args.name, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    signal = _named_signal(args.name, args.n)
     try:
         spec = NoiseSpec(signal.n_channels, args.rho, _parse_snr_spec(args.snr), seed=args.seed)
         noisy, psi = add_noise(signal, spec, rng=np.random.default_rng(args.seed))
@@ -245,8 +249,10 @@ def cmd_gof(args) -> int:
 
 
 def _benchmark_cell(params):
-    (signal_name, n, method, rho, snr_spec, balanced, rep_index, master_seed, cfg_dict) = params
+    (signal_name, n, method, rho, snr_spec, balanced, rep_index, master_seed, cfg_dict, null_memo) = params
     cfg = DenoiseConfig(**cfg_dict)
+    # thresholds the parent calibrated: a worker process never recalibrates them
+    _NULL_CACHE.update(null_memo)
     signal = make_signal(signal_name, n)
     spec = NoiseSpec(signal.n_channels, rho, snr_spec)
     noise_rng = np.random.default_rng([master_seed, hash_str(signal_name), int(rho * 1000), rep_index])
@@ -288,6 +294,9 @@ def cmd_benchmark(args) -> int:
     if not signals or not methods or not rhos or not snrs:
         raise UsageError("benchmark matrix must name signals, snrs, rhos and methods")
 
+    workers = _worker_count()
+    channels = {name: _named_signal(name, args.n).n_channels for name in signals}
+
     cells = []
     for sig_name in signals:
         for snr_spec in snrs:
@@ -297,15 +306,13 @@ def cmd_benchmark(args) -> int:
                     for rep in range(args.seeds):
                         cells.append((sig_name, args.n, method, rho, snr_spec, balanced, rep, args.seed, dataclasses.asdict(cfg)))
 
-    workers = int(os.environ.get("MVDENOISE_THREADS", "1"))
-    results = []
+    # only MGWD cells read thresholds; a baseline-only matrix calibrates nothing
+    channel_counts = sorted(set(channels.values())) if "mgwd" in methods else []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(_benchmark_cell, cells):
-                results.extend(rows)
+            results = _run_matrix(cells, channel_counts, args.n, cfg, pool.map)
     else:
-        for cell in cells:
-            results.extend(_benchmark_cell(cell))
+        results = _run_matrix(cells, channel_counts, args.n, cfg)
 
     write_manifest(out_dir, "benchmark", cfg, args.seed, _digest(np.array([float(len(cells))])), extra={"signals": signals, "rhos": rhos, "methods": methods, "snrs": str(snrs), "reps": args.seeds})
     res_path = out_dir / "results.csv"
@@ -321,6 +328,33 @@ def cmd_benchmark(args) -> int:
     _write_plot_data(out_dir, results)
     print(f"wrote results.csv aggregate.csv and plot data in {out_dir}")
     return EXIT_OK
+
+
+def _worker_count() -> int:
+    text = os.environ.get("MVDENOISE_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise UsageError(f"MVDENOISE_THREADS must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise UsageError(f"MVDENOISE_THREADS must be >= 1, got {workers}")
+    return workers
+
+
+def _run_matrix(cells, channel_counts, n, cfg, pool_map=None):
+    """Calibrate each channel count's key once, then run the cells.
+
+    ``pool_map`` (a process pool's ``map``) spreads the calibration batches,
+    then the cells, over the pool's workers; without it both run here.
+    """
+    for m in channel_counts:
+        try:
+            _precalibrate(n, m, cfg, pool_map)
+        except ValueError:
+            pass  # denoise rejects this geometry: its cells record the error
+    null_memo = dict(_NULL_CACHE)
+    cell_map = pool_map or map
+    return [row for rows in cell_map(_benchmark_cell, [(*cell, null_memo) for cell in cells]) for row in rows]
 
 
 def _aggregate_rows(results):

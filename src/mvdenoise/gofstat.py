@@ -60,7 +60,7 @@ class ReferenceDistribution:
     dims: int
     eigenvalues: np.ndarray
     eval_mode: str
-    log_coeffs: np.ndarray  # log c_n for the series route (c_n > 0)
+    log_coeffs: np.ndarray | None  # log c_n for the series route (c_n > 0); None on the gamma route
 
     @property
     def is_isotropic(self) -> bool:
@@ -108,7 +108,7 @@ def make_reference(dims: int, eigenvalues=None, eval_mode: str = "gamma") -> Ref
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
     if eval_mode == "gamma" and not np.allclose(lam, lam[0], rtol=1e-12, atol=0.0):
         raise ValueError("gamma closed form requires equal eigenvalues; use series mode")
-    log_coeffs = _series_log_coeffs(lam, _SERIES_MAX_TERMS)
+    log_coeffs = _series_log_coeffs(lam, _SERIES_MAX_TERMS) if eval_mode == "series" else None
     return ReferenceDistribution(dims=dims, eigenvalues=lam, eval_mode=eval_mode, log_coeffs=log_coeffs)
 
 

@@ -130,13 +130,17 @@ def _analysis_periodic(x, lo, hi):
 
 
 def _synthesis_periodic(a, d, lo, hi):
-    n = 2 * a.shape[0]
-    out = np.zeros((n, a.shape[1]), dtype=np.float64)
-    base = 2 * np.arange(a.shape[0])
-    for t in range(lo.size):
-        # positions (2i + t) mod n are distinct for fixed t, so += is safe
-        out[(base + t) % n] += lo[t] * a + hi[t] * d
-    return out
+    # out[2j + r] = sum_s lo[2s + r] a[j - s] + hi[2s + r] d[j - s], rows mod h.
+    # Window j of the wrapped block holds rows j - half + 1 .. j, so its entry
+    # k pairs with s = half - 1 - k: the taps, split by output parity r and
+    # reversed along s.  mode="wrap" also covers blocks shorter than the filter.
+    h, m = a.shape
+    half = lo.size // 2
+    rows = np.arange(1 - half, h)
+    ad = np.take(np.concatenate([a, d], axis=1), rows, axis=0, mode="wrap")
+    v = np.lib.stride_tricks.sliding_window_view(ad, half, axis=0)
+    out = v[:, :m] @ lo.reshape(half, 2)[::-1] + v[:, m:] @ hi.reshape(half, 2)[::-1]
+    return out.transpose(0, 2, 1).reshape(2 * h, m)
 
 
 def _analysis_symmetric(x, lo, hi):

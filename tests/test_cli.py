@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mvdenoise import denoiser
 from mvdenoise.cli import main, read_csv
 from mvdenoise.siggen import snr_db
 
@@ -171,13 +172,13 @@ def test_gof_pfa_out_of_range_is_usage_error(tmp_path):
 # --------------------------------------------------------------- benchmark
 
 
-def bench_args(out, seeds=2):
+def bench_args(out, seeds=2, methods="mgwd,baseline"):
     return [
         "benchmark",
         "--signals", "heavydoppler3",
         "--snrs", "0,5",
         "--rhos", "0",
-        "--methods", "mgwd,baseline",
+        "--methods", methods,
         "--seeds", str(seeds),
         "--n", "1024",
         "--out", str(out),
@@ -226,6 +227,41 @@ def test_benchmark_parallel_matches_serial(tmp_path):
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
+
+
+def test_benchmark_baseline_only_never_calibrates(tmp_path, monkeypatch):
+    def no_calibration(*args):
+        raise AssertionError("calibration entered")
+
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    # a replication count no other test uses, so the memo holds no entry for it
+    args = [*bench_args(tmp_path / "b", seeds=1, methods="baseline"), "--calib-reps", "101"]
+    assert run_cli(args) == 0
+    rows = (tmp_path / "b" / "results.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2 * 3 and all(r.endswith(",ok") for r in rows)
+    with pytest.raises(AssertionError, match="calibration entered"):
+        run_cli([*bench_args(tmp_path / "m", seeds=1, methods="mgwd"), "--calib-reps", "101"])
+
+
+def test_benchmark_uncalibratable_geometry_gives_error_rows(tmp_path):
+    out = tmp_path / "b"
+    args = [*bench_args(out, seeds=1, methods="mgwd"), "--n", "256", "--levels", "8"]
+    assert run_cli(args) == 0
+    rows = (out / "results.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2 * 3
+    assert all(",error: signal too short: " in r for r in rows)
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_benchmark_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("MVDENOISE_THREADS", value)
+    assert run_cli(bench_args(tmp_path / "b", seeds=1)) == 64
+    assert "MVDENOISE_THREADS" in capsys.readouterr().err
+
+
+def test_benchmark_short_signal_is_usage_error(tmp_path, capsys):
+    assert run_cli([*bench_args(tmp_path / "b", seeds=1), "--n", "128"]) == 64
+    assert "n must be >= 256" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code():

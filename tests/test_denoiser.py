@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvdenoise import gofstat
+from mvdenoise import denoiser, gofstat
 from mvdenoise.denoiser import (
     DenoiseConfig,
     apply_masks,
@@ -12,7 +12,9 @@ from mvdenoise.denoiser import (
     calibrate_thresholds,
     denoise,
     _NULL_CACHE,
+    _batch_reps,
     _null_tau_pool,
+    _plugin_null,
     _block_tau,
     _sliding_index_matrix,
 )
@@ -117,10 +119,14 @@ def test_threshold_monotone_in_pfa():
     assert ts[0] < ts[1] < ts[2]
 
 
+def child_seeds(seed, reps):
+    return np.random.default_rng(seed).integers(np.iinfo(np.int64).max, size=reps)
+
+
 def test_threshold_reproducible_across_seeds():
     cfg = DenoiseConfig(p_fa=0.005, calibration_reps=2000, window_l=56, levels=1)
     t1, t2 = (
-        float(np.quantile(_null_tau_pool(2, 1024, cfg, np.random.default_rng(seed))[0], 1.0 - cfg.p_fa))
+        float(np.quantile(_null_tau_pool(2, 1024, cfg, child_seeds(seed, cfg.calibration_reps))[0], 1.0 - cfg.p_fa))
         for seed in (11, 12)
     )
     assert abs(t1 - t2) / t1 < 0.10
@@ -133,6 +139,38 @@ def test_calibrate_thresholds_deterministic():
     b = calibrate_thresholds(2, 1024, cfg)
     assert np.array_equal(a, b)
     assert a.shape == (5,)
+
+
+def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
+    # a benchmark matrix hands each batch of child seeds to whichever worker
+    # process is free; the seeds cut at batch boundaries into 1, 2 or 3
+    # contiguous slices give the same pool, and so the same thresholds
+    m, n = 3, 512
+    cfg = DenoiseConfig(calibration_reps=100, levels=4)
+    monkeypatch.setattr(denoiser, "_CAL_CHUNK_VALUES", 40 * n * (cfg.window_size(m) + 1) // 2)
+    assert _batch_reps(m, n, cfg) == 40
+    seeds = child_seeds(0, cfg.calibration_reps)
+    whole = _null_tau_pool(m, n, cfg, seeds)
+    for cuts in ([], [40], [40, 80]):
+        parts = [_null_tau_pool(m, n, cfg, s) for s in np.split(seeds, cuts)]
+        for k, pool in enumerate(whole):
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), pool)
+
+    batches = []
+
+    def recording_map(fn, seed_batches):
+        batches.extend(seed_batches)
+        return map(fn, seed_batches)
+
+    _NULL_CACHE.clear()
+    thresholds, sd = _plugin_null(m, n, cfg, recording_map)
+    assert [len(b) for b in batches] == [40, 40, 20]
+    assert np.array_equal(np.concatenate(batches), seeds)
+    assert np.array_equal(thresholds, [np.quantile(p, 1.0 - cfg.p_fa) for p in whole])
+    assert np.array_equal(sd, [(p >= t).mean(axis=1).std(ddof=1) for p, t in zip(whole, thresholds)])
+    _NULL_CACHE.clear()
+    single_pass = _plugin_null(m, n, cfg)
+    assert np.array_equal(single_pass[0], thresholds) and np.array_equal(single_pass[1], sd)
 
 
 def test_calibration_reps_floor_enforced():
@@ -153,8 +191,8 @@ def test_null_pool_replication_is_the_pipeline_statistic():
     # covariance instead fails this at every scale
     cfg = DenoiseConfig(calibration_reps=100, levels=4)
     m, n = 2, 512
-    pools = _null_tau_pool(m, n, cfg, np.random.default_rng(3))
-    child = np.random.default_rng(3).integers(np.iinfo(np.int64).max, size=cfg.calibration_reps)
+    child = child_seeds(3, cfg.calibration_reps)
+    pools = _null_tau_pool(m, n, cfg, child)
     for r in (0, 57):
         g = np.random.default_rng(int(child[r]))
         noise = g.standard_normal((n, m))

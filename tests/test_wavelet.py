@@ -3,6 +3,7 @@ import pytest
 
 from mvdenoise.wavelet import (
     WaveletDecomposition,
+    _synthesis_periodic,
     dwt_forward,
     dwt_inverse,
     expected_block_lengths,
@@ -53,6 +54,23 @@ def test_perfect_reconstruction(name, boundary, n, m, levels):
     xr = dwt_inverse(dec)
     assert xr.shape == x.shape
     assert np.abs(xr - x).max() <= 1e-8 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("name", ["db8", "haar"])
+@pytest.mark.parametrize("rows", [1, 3, 7, 8, 9, 64])
+@pytest.mark.parametrize("m", [1, 3])
+def test_synthesis_matches_scatter_loop(name, rows, m):
+    # reference: every tap t adds lo[t] a[i] + hi[t] d[i] at row (2i + t) mod 2h;
+    # the strided product sums the same taps in another order
+    f = get_filter(name)
+    rng = np.random.default_rng(rows)
+    a, d = rng.standard_normal((rows, m)), rng.standard_normal((rows, m))
+    expected = np.zeros((2 * rows, m))
+    for t in range(len(f)):
+        expected[(2 * np.arange(rows) + t) % (2 * rows)] += f.lowpass[t] * a + f.highpass[t] * d
+    got = _synthesis_periodic(a, d, f.lowpass, f.highpass)
+    scale = np.abs(a).max() + np.abs(d).max()
+    assert np.allclose(got, expected, rtol=0, atol=len(f) * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("name", ["db8", "haar"])
