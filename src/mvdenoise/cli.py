@@ -217,6 +217,17 @@ def cmd_denoise(args) -> int:
     return EXIT_OK
 
 
+def _sigma_from_file(path, m: int) -> CovarianceMatrix:
+    sigma = read_csv(path)
+    if sigma.shape != (m, m) or not np.isfinite(sigma).all():
+        rows, cols = sigma.shape
+        raise ParseFailure(f"{path}: expected a finite {m}x{m} covariance matrix, got {rows}x{cols}")
+    try:
+        return CovarianceMatrix.from_matrix(sigma)
+    except ValueError as exc:  # asymmetric, or not positive definite
+        raise ParseFailure(f"{path}: {exc}") from None
+
+
 def cmd_gof(args) -> int:
     cfg = _config_from(args)
     x = read_csv(args.input)
@@ -225,7 +236,9 @@ def cmd_gof(args) -> int:
     if args.sigma_source == "file":
         if not args.sigma_file:
             raise UsageError("--sigma-file required when --sigma-source=file")
-        sigma = CovarianceMatrix.from_matrix(read_csv(args.sigma_file))
+        sigma = _sigma_from_file(args.sigma_file, m)
+        if not np.isfinite(x).all():
+            raise GeometryError(f"non-finite value encountered in {args.input}")
     else:
         try:
             sigma = mcd_estimate(x, rng)

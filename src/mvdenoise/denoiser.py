@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg as sla
 
 from . import gofstat
@@ -91,24 +92,12 @@ class DenoiseReport:
         return np.array([float(m.mean()) for m in self.keep_masks])
 
 
-def _sliding_index_matrix(block_len: int, window: int) -> np.ndarray:
-    # one window centered at each index; boundary indices reflect (0 -> 2,1,0,1,2)
-    half = (window - 1) // 2
-    idx = np.arange(block_len)[:, None] + np.arange(-half, half + 1)[None, :]
-    idx = np.abs(idx)
-    return np.where(idx > block_len - 1, 2 * (block_len - 1) - idx, idx)
-
-
-def _ad_from_windows(lf_w: np.ndarray, l1f_w: np.ndarray) -> np.ndarray:
-    # lf_w / l1f_w: (..., w) unsorted window views of ln F and ln(1-F).
-    # tau = -w - (1/w)[sum (2l-1) lnF_(l) + sum (2l-1) ln(1-F)_(asc l)]
-    # (ln(1-F) sorted ascending enumerates F descending, which is the usual
-    # reversed-index pairing).
-    w = lf_w.shape[-1]
-    weights = 2.0 * np.arange(1, w + 1) - 1.0
-    s = np.sort(lf_w, axis=-1) @ weights.astype(lf_w.dtype)
-    s = s + np.sort(l1f_w, axis=-1) @ weights.astype(l1f_w.dtype)
-    return -w - s / w
+def _reflected_windows(v: np.ndarray, window: int) -> np.ndarray:
+    # (..., B, window) view of the window centred at each index of the last
+    # axis; the ends reflect (0 -> 2,1,0,1,2).  Needs B > window // 2.
+    half = window // 2
+    padded = np.pad(v, [(0, 0)] * (v.ndim - 1) + [(half, half)], mode="reflect")
+    return sliding_window_view(padded, window, axis=-1)
 
 
 def _block_logs(dist: ReferenceDistribution, y: np.ndarray):
@@ -117,15 +106,28 @@ def _block_logs(dist: ReferenceDistribution, y: np.ndarray):
 
 
 def _tau_from_logs(lf: np.ndarray, l1f: np.ndarray, window: int) -> np.ndarray:
-    # lf, l1f: (..., B) per-coefficient log CDF values of one or more blocks;
-    # window is the full window size (odd).  Returns per-coefficient tau; a
-    # block shorter than the window is scored as one shared window.
+    # lf, l1f: (..., B) per-coefficient ln F and ln(1-F) of one or more
+    # blocks; window is the full window size (odd).  Returns per-coefficient
+    # tau; a block shorter than the window is scored as one shared window.
+    #
+    # tau = -w - (1/w) sum_l (2l-1) [ln F_(l) + ln(1-F)_(w+1-l)] (Stephens
+    # 1974).  With d = ln F - ln(1-F), which increases with F, the sum equals
+    # sum_l (2l-1) d_(l) + 2w sum ln(1-F) exactly, ties included: one sort
+    # per window, and the second sum is a difference of cumulative sums.
     b = lf.shape[-1]
+    d = lf - l1f
     if b < window:
-        tau = _ad_from_windows(lf, l1f)
-        return np.repeat(tau[..., None], b, axis=-1)
-    idx = _sliding_index_matrix(b, window)
-    return _ad_from_windows(lf[..., idx], l1f[..., idx])
+        w = b
+        s = np.sort(d, axis=-1) @ (2.0 * np.arange(1, w + 1) - 1.0) + 2 * w * l1f.sum(axis=-1)
+        return np.repeat((-w - s / w)[..., None], b, axis=-1)
+    w = window
+    sorted_windows = np.array(_reflected_windows(d, w))
+    sorted_windows.sort(axis=-1)
+    # one more reflected value in front, so csum[i + w] - csum[i] is the sum
+    # over the window centred at i
+    csum = np.cumsum(np.pad(l1f, [(0, 0)] * (l1f.ndim - 1) + [(w // 2 + 1, w // 2)], mode="reflect"), axis=-1)
+    s = sorted_windows @ (2.0 * np.arange(1, w + 1) - 1.0) + 2 * w * (csum[..., w:] - csum[..., :-w])
+    return -w - s / w
 
 
 def _block_tau(y_block: np.ndarray, dist: ReferenceDistribution, window: int) -> np.ndarray:
@@ -156,10 +158,11 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     have one shared window per replication and contribute a single value
     each.  Replication r draws from the generator seeded by ``child_seeds[r]``
     alone, but the rounding of its statistic depends on which replications
-    share its batch (single-precision values moved by up to 4e-5 when a batch
-    was split), so pools of slices of the seeds concatenate to the pool of
-    the whole vector bit for bit only when the slices are cut at batch
-    boundaries.
+    share its batch (values moved by up to 1e-12 when a batch of 12 was
+    split 6+6 or 1x12), so pools of slices of the seeds concatenate to the
+    pool of the whole vector bit for bit only when the slices are cut at
+    batch boundaries.  The windows are scored in double precision by the
+    kernel ``denoise`` uses.
     """
     reps = len(child_seeds)
     window = config.window_size(m)
@@ -183,14 +186,11 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
             bl = d.shape[0]
             z = np.einsum("cij,bcj->cbi", ichol, d)
             y = np.einsum("cbi,cbi->cb", z, z)
-            lf, l1f = _block_logs(dist, y)
-            # single precision for the window gather/sort: quantile error from
-            # the Monte Carlo sampling dwarfs the rounding here
-            tau = _tau_from_logs(lf.astype(np.float32), l1f.astype(np.float32), window + 1)
+            tau = _tau_from_logs(*_block_logs(dist, y), window + 1)
             if bl < window + 1:
                 # one shared window per realization: pool a single value each
                 tau = tau[:, :1]
-            pools[k].append(np.asarray(tau, dtype=np.float64))
+            pools[k].append(tau)
     return [np.concatenate(p) for p in pools]
 
 

@@ -2,7 +2,11 @@
 
 The robust estimator is the minimum covariance determinant, computed with the
 concentration-step search (random elemental subsets, a short burst of C-steps,
-then full refinement of the best candidates).  Because detail coefficients are
+then full refinement of the best candidates).  Blocks of more than 600 rows
+run the first two phases nested, as in FAST-MCD (Rousseeuw & Van Driessen
+1999, Technometrics 41): the seeds are spread over up to five disjoint random
+subsets of 300 rows, and the best candidates of each are C-stepped on the
+merged subsets before the full refinement.  Because detail coefficients are
 zero-mean under the additive Gaussian noise model, all scatter matrices here
 are taken about zero: no location is estimated.
 """
@@ -22,6 +26,10 @@ from scipy import stats
 _N_TRIALS = 500
 _N_SHORT_CSTEPS = 2
 _N_KEEP = 10
+# Blocks of more than 2 * _SUBSET_ROWS rows run the seeds on up to
+# _MAX_SUBSETS disjoint random subsets of _SUBSET_ROWS rows (nested search).
+_SUBSET_ROWS = 300
+_MAX_SUBSETS = 5
 _MAX_REFINE = 100
 _REWEIGHT_MASS = 0.975
 # candidates per batched C-step, sized so the distance matrix stays in cache
@@ -162,17 +170,57 @@ class _Concentrator:
         return subsets, self.unpack(packed)
 
 
+def _elemental_scatters(x: np.ndarray, rng, count: int) -> np.ndarray:
+    # scatters about zero of `count` random (M+1)-row subsets of x
+    m = x.shape[1]
+    sub = x[_elemental_subsets(rng, x.shape[0], m + 1, count)]
+    return np.einsum("thi,thj->tij", sub, sub) / (m + 1)
+
+
+def _best_candidates(conc: _Concentrator, scatters: np.ndarray):
+    # a short burst of C-steps from every start; keep the lowest determinants
+    for _ in range(_N_SHORT_CSTEPS):
+        subsets, scatters = conc.step(scatters)
+    _, logdets = np.linalg.slogdet(scatters)
+    keep = np.argsort(logdets)[:_N_KEEP]
+    return subsets[keep], scatters[keep]
+
+
+def _nested_candidates(x: np.ndarray, h: int, rng) -> np.ndarray:
+    """Start scatters for a large block from the nested search.
+
+    Rousseeuw & Van Driessen (1999): the rows are split into k disjoint
+    random subsets of _SUBSET_ROWS rows; each runs 1/k of the seeds with its
+    h scaled to the subset, and keeps its best candidates; those candidates
+    are C-stepped on the merged subsets and the best of them returned.  The
+    split is drawn from ``rng`` alone, never from the data, so the estimate
+    stays affine equivariant.
+    """
+    n = x.shape[0]
+    k = min(_MAX_SUBSETS, n // _SUBSET_ROWS)
+    parts = rng.permutation(n)[: k * _SUBSET_ROWS].reshape(k, _SUBSET_ROWS)
+    h_sub = -(-_SUBSET_ROWS * h // n)  # ceil(h * subset rows / n)
+    starts = []
+    for rows in parts:
+        part = x[rows]
+        starts.append(_best_candidates(_Concentrator(part, h_sub), _elemental_scatters(part, rng, _N_TRIALS // k))[1])
+    h_merged = -(-k * _SUBSET_ROWS * h // n)
+    return _best_candidates(_Concentrator(x[parts.ravel()], h_merged), np.concatenate(starts))[1]
+
+
 def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
     """Minimum-covariance-determinant estimate of the noise covariance.
 
     Runs the concentration search on zero-mean coefficient rows, applies the
-    chi-square consistency correction, then one reweighting step.  The
-    estimate is consistent under pure Gaussian data but not unbiased at
-    finite size: at 1024 rows the mean of tr(S^{-1} S_hat) / M is about
-    0.989 (M = 2 or 3), i.e. about 1% low.  The calibration in
-    :mod:`mvdenoise.denoiser` simulates this estimator itself, so the bias
-    is part of the null law the thresholds are taken from.  Deterministic
-    for a given ``rng`` state.
+    chi-square consistency correction, then one reweighting step.  Above
+    600 rows the search starts from the nested subsets of
+    :func:`_nested_candidates`; up to 600 rows every seed is C-stepped on the
+    whole block.  The estimate is consistent under pure Gaussian data but not
+    unbiased at finite size: at 1024 rows the mean of tr(S^{-1} S_hat) / M
+    is 0.988 (M = 2) and 0.989 (M = 3), each +-0.001 over 1500 fits, i.e.
+    about 1% low.  The calibration in :mod:`mvdenoise.denoiser` simulates
+    this estimator itself, so the bias is part of the null law the
+    thresholds are taken from.  Deterministic for a given ``rng`` state.
 
     Parameters
     ----------
@@ -199,16 +247,13 @@ def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
         h = (n + m + 1) // 2
     h = int(min(max(h, m + 1), n))
     conc = _Concentrator(x, h)
-
-    sub = x[_elemental_subsets(rng, n, m + 1, _N_TRIALS)]
-    scatters = np.einsum("thi,thj->tij", sub, sub) / (m + 1)
-    for _ in range(_N_SHORT_CSTEPS):
-        subsets, scatters = conc.step(scatters)
+    if n > 2 * _SUBSET_ROWS:
+        # no full-block subsets yet: the first refinement step cannot converge
+        subsets, scatters = None, _nested_candidates(x, h, rng)
+    else:
+        subsets, scatters = _best_candidates(conc, _elemental_scatters(x, rng, _N_TRIALS))
 
     # iterate the best candidates together until every subset is a fixed point
-    _, logdets = np.linalg.slogdet(scatters)
-    keep = np.argsort(logdets)[:_N_KEEP]
-    subsets, scatters = subsets[keep], scatters[keep]
     for _ in range(_MAX_REFINE):
         new_subsets, scatters = conc.step(scatters)
         converged = np.array_equal(new_subsets, subsets)

@@ -162,6 +162,41 @@ def test_gof_sigma_from_file(tmp_path, capsys):
     assert res["decision"] == "H0_noise"
 
 
+@pytest.mark.parametrize(
+    "sigma, why",
+    [
+        (np.eye(3), "3x3"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), "finite"),
+    ],
+    ids=["wrong-size", "not-pd", "asymmetric", "non-finite"],
+)
+def test_gof_bad_sigma_file_is_parse_error(tmp_path, capsys, sigma, why):
+    p = tmp_path / "x.csv"
+    np.savetxt(p, np.random.default_rng(3).standard_normal((256, 2)), delimiter=",")
+    sp = tmp_path / "sigma.csv"
+    np.savetxt(sp, sigma, delimiter=",")
+    rc = run_cli(["gof", str(p), "--sigma-source", "file", "--sigma-file", str(sp), *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(sp) in err and why in err
+
+
+def test_gof_sigma_file_with_non_finite_data_is_geometry_error(tmp_path, capsys):
+    x = np.random.default_rng(4).standard_normal((256, 2))
+    x[17, 1] = np.nan
+    p = tmp_path / "x.csv"
+    np.savetxt(p, x, delimiter=",")
+    sp = tmp_path / "sigma.csv"
+    np.savetxt(sp, np.eye(2), delimiter=",")
+    rc = run_cli(["gof", str(p), "--sigma-source", "file", "--sigma-file", str(sp), *FAST])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    # the MCD route reports the same input the same way
+    assert run_cli(["gof", str(p), *FAST]) == 3
+
+
 def test_gof_pfa_out_of_range_is_usage_error(tmp_path):
     p = tmp_path / "x.csv"
     np.savetxt(p, np.random.default_rng(2).standard_normal((64, 2)), delimiter=",")

@@ -157,3 +157,24 @@ def test_batched_concentration_step_matches_loop():
         rows = np.sort(np.argsort(d)[:h])
         assert np.array_equal(np.flatnonzero(subsets[t]), rows)
         assert np.allclose(new[t], x[rows].T @ x[rows] / h, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [500, 2000], ids=["elemental", "nested"])
+def test_mcd_affine_equivariant(n):
+    # blocks of more than 600 rows start from the nested subset search; its
+    # split comes from the rng, never the data, so both routes keep
+    # sigma_hat(X A^T) = A sigma_hat(X) A^T for the same rng
+    x = np.random.default_rng([12, n]).standard_normal((n, 3))
+    a = np.array([[0.8, -1.5, 0.4], [0.9, 0.5, 0.0], [-1.2, 0.3, 3.0]])
+    base = mcd_estimate(x, np.random.default_rng(13)).sigma
+    mapped = mcd_estimate(x @ a.T, np.random.default_rng(13)).sigma
+    assert np.allclose(mapped, a @ base @ a.T, rtol=1e-8, atol=0)
+
+
+def test_mcd_nested_route_resists_shifted_rows():
+    # 20 % of a 2000-row block shifted by 8 sigma along a common direction
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((2000, 3))
+    x[rng.choice(2000, size=400, replace=False)] += 8.0 / np.sqrt(3.0)
+    est = mcd_estimate(x, np.random.default_rng(15))
+    assert np.abs(est.sigma - np.eye(3)).max() < 0.25
