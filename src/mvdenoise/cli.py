@@ -25,10 +25,9 @@ import numpy as np
 
 from . import __version__
 from .denoiser import _NULL_CACHE, DenoiseConfig, _precalibrate, baseline_universal, calibrate_threshold, denoise
-from .gofstat import GofDecision, gof_test, mahalanobis_edf, make_reference, ad_statistic
-from .robustcov import CovarianceMatrix, mcd_estimate
-from .siggen import NoiseSpec, add_noise, average_snr_db, make_signal, snr_db
-from .wavelet import dwt_forward, get_filter
+from .gofstat import ad_statistic, gof_test, mahalanobis_edf, make_reference
+from .robustcov import CovarianceMatrix, check_mcd_rows, mcd_estimate
+from .siggen import NoiseSpec, add_noise, make_signal, snr_db
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -128,7 +127,6 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-l", type=int, default=None)
     p.add_argument("--pfa", type=float, default=0.005)
     p.add_argument("--calib-reps", type=int, default=1000)
-    p.add_argument("--boundary", choices=("periodic", "symmetric"), default="periodic")
 
 
 def _config_from(args) -> DenoiseConfig:
@@ -139,7 +137,6 @@ def _config_from(args) -> DenoiseConfig:
         p_fa=args.pfa,
         calibration_reps=args.calib_reps,
         seed=args.seed,
-        boundary=args.boundary,
     )
     try:
         cfg.validate()
@@ -237,6 +234,12 @@ def cmd_gof(args) -> int:
         if not args.sigma_file:
             raise UsageError("--sigma-file required when --sigma-source=file")
         sigma = _sigma_from_file(args.sigma_file, m)
+        # the threshold below is calibrated with an MCD fit on n rows, so
+        # this route needs the rows the MCD route needs
+        try:
+            check_mcd_rows(n, m)
+        except ValueError as exc:
+            raise GeometryError(str(exc)) from exc
         if not np.isfinite(x).all():
             raise GeometryError(f"non-finite value encountered in {args.input}")
     else:
@@ -284,10 +287,12 @@ def _benchmark_cell(params):
         per_channel = np.full(signal.n_channels, np.nan)
         status = f"error: {exc}"
     input_per_channel = np.atleast_1d(np.asarray(spec.snr_targets(), dtype=np.float64))
+    # the last field names the cell's SNR spec for the aggregate; results.csv omits it
+    snr_key = tuple(float(v) for v in input_per_channel)
     rows = []
     for ch in range(signal.n_channels):
         rows.append(
-            (signal_name, method, rho, balanced, f"C{ch + 1}", input_per_channel[ch], per_channel[ch], rep_index, status)
+            (signal_name, method, rho, balanced, f"C{ch + 1}", input_per_channel[ch], per_channel[ch], rep_index, status, snr_key)
         )
     return rows
 
@@ -371,16 +376,16 @@ def _run_matrix(cells, channel_counts, n, cfg, pool_map=None):
 
 
 def _aggregate_rows(results):
-    """Mean output SNR per (signal, method, rho, balanced, input) with per-channel and Avg columns."""
+    """Mean output SNR per (signal, method, rho, balanced, SNR spec) with per-channel and Avg columns."""
     from collections import defaultdict
 
     groups = defaultdict(lambda: defaultdict(list))
-    for sig_name, method, rho, balanced, channel, inp, out, rep, status in results:
+    for sig_name, method, rho, balanced, channel, inp, out, rep, status, snr_key in results:
         if not status == "ok":
             continue
-        groups[(sig_name, method, rho, balanced)][channel].append((inp, out))
+        groups[(sig_name, method, rho, balanced, snr_key)][channel].append((inp, out))
     table = []
-    for key in sorted(groups, key=str):
+    for key in sorted(groups):
         channels = sorted(groups[key], key=lambda c: int(c[1:]))
         means = [float(np.mean([o for _, o in groups[key][c]])) for c in channels]
         inputs = [float(np.mean([i for i, _ in groups[key][c]])) for c in channels]
@@ -393,14 +398,14 @@ def _write_aggregate(out_dir: Path, results) -> None:
     with open(out_dir / "aggregate.csv", "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# manifest: {MANIFEST_NAME}\n")
         f.write("signal,method,rho,balanced,channel,mean_input_snr_db,mean_output_snr_db\n")
-        for (sig_name, method, rho, balanced), channels, inputs, means, avg in table:
+        for (sig_name, method, rho, balanced, _), channels, inputs, means, avg in table:
             for c, i, m in zip(channels, inputs, means):
                 f.write(f"{sig_name},{method},{rho:g},{str(balanced).lower()},{c},{i:.17g},{m:.17g}\n")
             f.write(f"{sig_name},{method},{rho:g},{str(balanced).lower()},Avg,{float(np.mean(inputs)):.17g},{avg:.17g}\n")
     # aligned text table for humans
     with open(out_dir / "aggregate.txt", "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{'signal':<16}{'method':<10}{'rho':>5}  {'bal':<5}{'input':>8}  per-channel output SNR (dB) -> Avg\n")
-        for (sig_name, method, rho, balanced), channels, inputs, means, avg in table:
+        for (sig_name, method, rho, balanced, _), channels, inputs, means, avg in table:
             chans = "  ".join(f"{m:6.2f}" for m in means)
             f.write(f"{sig_name:<16}{method:<10}{rho:>5g}  {str(balanced).lower():<5}{float(np.mean(inputs)):>8.2f}  {chans}  -> {avg:6.2f}\n")
 
@@ -410,7 +415,7 @@ def _write_plot_data(out_dir: Path, results) -> None:
     from collections import defaultdict
 
     curves = defaultdict(lambda: defaultdict(list))
-    for sig_name, method, rho, balanced, channel, inp, out, rep, status in results:
+    for sig_name, method, rho, balanced, channel, inp, out, rep, status, _ in results:
         if status == "ok":
             curves[(sig_name, method, rho)][round(float(inp), 6)].append(float(out))
     for (sig_name, method, rho), pts in sorted(curves.items(), key=str):

@@ -25,7 +25,7 @@ from . import gofstat
 from .gofstat import ReferenceDistribution, make_reference, reference_cdf
 from .robustcov import CovarianceMatrix, SingularCovarianceError, mcd_estimate
 from .siggen import average_snr_db, snr_db
-from .wavelet import dwt_forward, dwt_inverse, get_filter
+from .wavelet import FILTER_NAMES, dwt_forward, dwt_inverse, get_filter
 
 _CAL_CHUNK_VALUES = 6_000_000  # cap on reps*block*window floats held at once
 
@@ -45,17 +45,16 @@ class DenoiseConfig:
     p_fa: float = 0.005
     calibration_reps: int = 1000
     seed: int | None = None
-    boundary: str = "periodic"
 
     def validate(self) -> None:
+        if self.filter_name not in FILTER_NAMES:
+            raise ValueError(f"unknown wavelet filter {self.filter_name!r}; available: {list(FILTER_NAMES)}")
         if not 0.0 < self.p_fa < 0.5:
             raise ValueError("p_fa must lie in (0, 0.5)")
         if self.calibration_reps < 100:
             raise ValueError("calibration_reps must be >= 100")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
-        if self.boundary not in ("periodic", "symmetric"):
-            raise ValueError("boundary must be 'periodic' or 'symmetric'")
         if self.window_l is not None and (self.window_l < 2 or self.window_l % 2):
             raise ValueError("window_l must be a positive even integer")
 
@@ -175,7 +174,7 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
         gens = [np.random.default_rng(int(s)) for s in child_seeds[start : start + chunk]]
         c = len(gens)
         noise = np.stack([g.standard_normal((n_samples, m)) for g in gens], axis=1)
-        dec = dwt_forward(noise.reshape(n_samples, c * m), filt, config.levels, config.boundary)
+        dec = dwt_forward(noise.reshape(n_samples, c * m), filt, config.levels)
         details = [d.reshape(d.shape[0], c, m) for d in dec.details]
         # v -> v^T sigma_r^{-1} v evaluated as |ichol_r v|^2, one factor per replication
         ichol = np.empty((c, m, m))
@@ -227,7 +226,6 @@ def _plugin_null(m: int, n_samples: int, config: DenoiseConfig, map_fn=None):
         n_samples,
         config.filter_name,
         config.levels,
-        config.boundary,
         config.window_size(m),
         config.p_fa,
         reps,
@@ -278,7 +276,7 @@ def calibrate_threshold(n_channels: int, scale_len: int, config: DenoiseConfig) 
     """
     if scale_len < 2:
         raise ValueError("scale_len must be >= 2")
-    single = replace(config, levels=1, boundary="periodic")
+    single = replace(config, levels=1)
     return float(calibrate_thresholds(n_channels, 2 * scale_len, single)[0])
 
 
@@ -293,7 +291,7 @@ def _precalibrate(n_samples: int, n_channels: int, config: DenoiseConfig, map_fn
 
 
 def _decompose(x: np.ndarray, config: DenoiseConfig):
-    dec = dwt_forward(x, get_filter(config.filter_name), config.levels, config.boundary)
+    dec = dwt_forward(x, get_filter(config.filter_name), config.levels)
     if dec.approx.shape[0] < 2:
         raise ValueError("signal too short: coarsest block needs at least two coefficients")
     return dec
@@ -380,7 +378,7 @@ def apply_masks(x, report: DenoiseReport) -> np.ndarray:
     if x.ndim == 1:
         x = x[:, None]
     filt = get_filter(report.config.filter_name)
-    dec = dwt_forward(x, filt, report.config.levels, report.config.boundary)
+    dec = dwt_forward(x, filt, report.config.levels)
     new_details = [d * mask[:, None] for d, mask in zip(dec.details, report.keep_masks)]
     return dwt_inverse(dec.copy_with_details(new_details))
 

@@ -1,11 +1,11 @@
 """Orthogonal discrete wavelet transform, applied channel-wise to multichannel signals.
 
 The analysis/synthesis pair here is the textbook two-channel orthonormal filter
-bank.  With periodic boundary handling the transform matrix is exactly
-orthogonal for every even block length, so perfect reconstruction and energy
-conservation hold to machine precision.  A symmetric-extension mode is also
-provided; it reconstructs exactly as well, at the price of slightly redundant
-coefficient blocks (no Parseval identity).
+bank, applied periodically: each block wraps around at its ends.  The transform
+matrix is then exactly orthogonal for every even block length, so perfect
+reconstruction and energy conservation hold to machine precision, and white
+Gaussian noise stays white at every scale, which the denoiser's reference law
+relies on.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _LOWPASS_TAPS = {
         -0.00011747678412476953,
     ),
 }
+
+FILTER_NAMES = tuple(sorted(_LOWPASS_TAPS))
 
 _ORTHO_TOL = 1e-10
 
@@ -83,7 +85,7 @@ def get_filter(name: str) -> WaveletFilter:
     try:
         taps = _LOWPASS_TAPS[name]
     except KeyError:
-        raise ValueError(f"unknown wavelet filter {name!r}; available: {sorted(_LOWPASS_TAPS)}") from None
+        raise ValueError(f"unknown wavelet filter {name!r}; available: {list(FILTER_NAMES)}") from None
     return WaveletFilter.from_lowpass(name, taps)
 
 
@@ -95,8 +97,6 @@ class WaveletDecomposition:
     block; ``approx`` is the coarsest lowpass block.  ``n_samples`` and ``pad``
     record the original signal length and how much right-padding was added to
     reach a multiple of 2**levels, so the inverse can trim exactly.
-    ``extensions`` carries the per-level symmetric-extension bookkeeping and is
-    all ``None`` in periodic mode.
     """
 
     details: list
@@ -105,8 +105,6 @@ class WaveletDecomposition:
     pad: int
     filter_name: str
     levels: int
-    boundary: str
-    extensions: list
 
     @property
     def n_channels(self) -> int:
@@ -117,16 +115,14 @@ class WaveletDecomposition:
 
 
 def _analysis_periodic(x, lo, hi):
+    # a[j] = sum_t lo[t] x[(2j + t) mod n], d likewise with hi: window j of
+    # the block extended periodically by taps - 2 rows starts at row 2j.  The
+    # extension starts with whole copies when the block is shorter than that.
     n = x.shape[0]
-    taps = lo.size
-    if n >= taps:
-        xw = np.concatenate([x, x[: taps - 2]], axis=0) if taps > 2 else x
-        v = np.lib.stride_tricks.sliding_window_view(xw, taps, axis=0)[::2]
-        return v @ lo, v @ hi
-    # blocks shorter than the filter: wrap explicitly
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    xs = x[idx]
-    return np.tensordot(xs, lo, axes=([1], [0])), np.tensordot(xs, hi, axes=([1], [0]))
+    extra = lo.size - 2
+    xw = np.concatenate([x] * (1 + extra // n) + [x[: extra % n]], axis=0)
+    v = np.lib.stride_tricks.sliding_window_view(xw, lo.size, axis=0)[::2]
+    return v @ lo, v @ hi
 
 
 def _synthesis_periodic(a, d, lo, hi):
@@ -143,37 +139,13 @@ def _synthesis_periodic(a, d, lo, hi):
     return out.transpose(0, 2, 1).reshape(2 * h, m)
 
 
-def _analysis_symmetric(x, lo, hi):
-    n = x.shape[0]
-    taps = lo.size
-    e_left = taps
-    e_right = taps + (n % 2)
-    xe = np.pad(x, ((e_left, e_right), (0, 0)), mode="symmetric")
-    m = (xe.shape[0] - taps) // 2 + 1
-    idx = 2 * np.arange(m)[:, None] + np.arange(taps)[None, :]
-    xs = xe[idx]
-    a = np.tensordot(xs, lo, axes=([1], [0]))
-    d = np.tensordot(xs, hi, axes=([1], [0]))
-    return a, d, (n, e_left, e_right)
-
-
-def _synthesis_symmetric(a, d, lo, hi, ext):
-    n, e_left, e_right = ext
-    m = a.shape[0]
-    out = np.zeros((2 * (m - 1) + lo.size, a.shape[1]), dtype=np.float64)
-    base = 2 * np.arange(m)
-    for t in range(lo.size):
-        out[base + t] += lo[t] * a + hi[t] * d
-    return out[e_left : e_left + n]
-
-
-def dwt_forward(x, filt: WaveletFilter, levels: int, boundary: str = "periodic") -> WaveletDecomposition:
+def dwt_forward(x, filt: WaveletFilter, levels: int) -> WaveletDecomposition:
     """Decompose an (N, M) signal into detail blocks at scales 1..levels plus approx.
 
-    Each channel is transformed independently with the same filter and boundary
-    policy.  Non-dyadic lengths are right-padded by symmetric extension up to
-    the next multiple of 2**levels; the pad is recorded and trimmed by
-    :func:`dwt_inverse`.
+    Each channel is transformed independently with the same filter, each block
+    wrapping periodically.  Non-dyadic lengths are right-padded by symmetric
+    extension up to the next multiple of 2**levels; the pad is recorded and
+    trimmed by :func:`dwt_inverse`.
 
     Raises ``ValueError`` if the signal is shorter than 2**levels or contains
     non-finite samples.
@@ -187,8 +159,6 @@ def dwt_forward(x, filt: WaveletFilter, levels: int, boundary: str = "periodic")
         raise ValueError("non-finite sample encountered")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if boundary not in ("periodic", "symmetric"):
-        raise ValueError(f"unknown boundary policy {boundary!r}")
     n = x.shape[0]
     if n < 2**levels:
         raise ValueError(f"signal of length {n} too short for {levels} levels")
@@ -198,15 +168,9 @@ def dwt_forward(x, filt: WaveletFilter, levels: int, boundary: str = "periodic")
 
     lo, hi = filt.lowpass, filt.highpass
     details: list = []
-    extensions: list = []
     approx = xp
     for _ in range(levels):
-        if boundary == "periodic":
-            approx, d = _analysis_periodic(approx, lo, hi)
-            extensions.append(None)
-        else:
-            approx, d, ext = _analysis_symmetric(approx, lo, hi)
-            extensions.append(ext)
+        approx, d = _analysis_periodic(approx, lo, hi)
         details.append(d)
     return WaveletDecomposition(
         details=details,
@@ -215,13 +179,11 @@ def dwt_forward(x, filt: WaveletFilter, levels: int, boundary: str = "periodic")
         pad=pad,
         filter_name=filt.name,
         levels=levels,
-        boundary=boundary,
-        extensions=extensions,
     )
 
 
 def expected_block_lengths(n_samples: int, levels: int):
-    """Detail block lengths at scales 1..levels for an already padded length (periodic mode)."""
+    """Detail block lengths at scales 1..levels for a signal of ``n_samples`` rows, after padding."""
     n_padded = n_samples + ((-n_samples) % (2**levels))
     return [n_padded // 2**k for k in range(1, levels + 1)]
 
@@ -235,30 +197,18 @@ def dwt_inverse(dec: WaveletDecomposition) -> np.ndarray:
     filt = get_filter(dec.filter_name)
     lo, hi = filt.lowpass, filt.highpass
     m_channels = dec.approx.shape[1]
-    if len(dec.details) != dec.levels or len(dec.extensions) != dec.levels:
+    if len(dec.details) != dec.levels:
         raise ValueError("decomposition metadata inconsistent with block count")
-
-    if dec.boundary == "periodic":
-        expected = expected_block_lengths(dec.n_samples, dec.levels)
-        if dec.approx.shape[0] != expected[-1]:
-            raise ValueError("approximation block length does not match metadata")
-        for k, d in enumerate(dec.details, start=1):
-            if d.shape != (expected[k - 1], m_channels):
-                raise ValueError(f"scale-{k} detail block shape {d.shape} does not match metadata")
-    else:
-        for k, (d, ext) in enumerate(zip(dec.details, dec.extensions), start=1):
-            n_in, e_left, e_right = ext
-            rows = (n_in + e_left + e_right - len(filt)) // 2 + 1
-            if d.shape != (rows, m_channels):
-                raise ValueError(f"scale-{k} detail block shape {d.shape} does not match metadata")
+    expected = expected_block_lengths(dec.n_samples, dec.levels)
+    if dec.approx.shape[0] != expected[-1]:
+        raise ValueError("approximation block length does not match metadata")
+    for k, d in enumerate(dec.details, start=1):
+        if d.shape != (expected[k - 1], m_channels):
+            raise ValueError(f"scale-{k} detail block shape {d.shape} does not match metadata")
 
     approx = dec.approx
-    for k in range(dec.levels - 1, -1, -1):
-        d = dec.details[k]
+    for d in reversed(dec.details):
         if approx.shape != d.shape:
             raise ValueError("approximation/detail shape mismatch during reconstruction")
-        if dec.boundary == "periodic":
-            approx = _synthesis_periodic(approx, d, lo, hi)
-        else:
-            approx = _synthesis_symmetric(approx, d, lo, hi, dec.extensions[k])
+        approx = _synthesis_periodic(approx, d, lo, hi)
     return approx[: dec.n_samples]

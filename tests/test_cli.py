@@ -197,6 +197,20 @@ def test_gof_sigma_file_with_non_finite_data_is_geometry_error(tmp_path, capsys)
     assert run_cli(["gof", str(p), *FAST]) == 3
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+def test_gof_too_few_rows_is_geometry_error_on_both_routes(tmp_path, capsys, rows):
+    # M=2 needs 2(M+1) = 6 rows: the MCD fit, and the threshold's calibration, need them
+    p = tmp_path / "x.csv"
+    np.savetxt(p, np.random.default_rng(5).standard_normal((rows, 2)), delimiter=",")
+    sp = tmp_path / "sigma.csv"
+    np.savetxt(sp, np.eye(2), delimiter=",")
+    assert run_cli(["gof", str(p), *FAST]) == 3
+    mcd_err = capsys.readouterr().err
+    assert run_cli(["gof", str(p), "--sigma-source", "file", "--sigma-file", str(sp), *FAST]) == 3
+    assert capsys.readouterr().err == mcd_err
+    assert f"need at least 6 rows for M=2, got {rows}" in mcd_err
+
+
 def test_gof_pfa_out_of_range_is_usage_error(tmp_path):
     p = tmp_path / "x.csv"
     np.savetxt(p, np.random.default_rng(2).standard_normal((64, 2)), delimiter=",")
@@ -232,14 +246,20 @@ def test_benchmark_row_cardinality_and_aggregate(tmp_path):
     assert len(rows) == 2 * 2 * 2 * 3
     assert all(r.endswith("ok") for r in rows)
 
-    # Avg row equals the mean of the channel means
+    # one group per (method, rho, SNR level); balanced inputs give every
+    # channel the level as its mean input, and the Avg row equals the mean of
+    # the channel means
     agg = [l.split(",") for l in (out / "aggregate.csv").read_text().splitlines() if l and not l.startswith("#")][1:]
     by_key = {}
     for row in agg:
-        key = tuple(row[:4])
+        key = (*row[:4], float(row[5]))
         by_key.setdefault(key, {})[row[4]] = float(row[6])
+    assert sorted(by_key) == [
+        ("heavydoppler3", method, "0", "true", snr) for method in ("baseline", "mgwd") for snr in (0.0, 5.0)
+    ]
     for key, chans in by_key.items():
         avg = chans.pop("Avg")
+        assert sorted(chans) == ["C1", "C2", "C3"]
         assert abs(avg - np.mean(list(chans.values()))) < 1e-9
 
     plots = sorted(p.name for p in out.glob("plot_*.csv"))
@@ -301,3 +321,18 @@ def test_benchmark_short_signal_is_usage_error(tmp_path, capsys):
 
 def test_cli_usage_error_exit_code():
     assert main(["denoise"]) == 64  # missing input argument
+    assert main(["denoise", "x.csv", "--boundary", "periodic"]) == 64  # no such flag: the transform is periodic
+
+
+@pytest.mark.parametrize("command", ["generate", "denoise", "gof", "benchmark"])
+def test_unknown_filter_is_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "x.csv"
+    np.savetxt(p, np.random.default_rng(6).standard_normal((256, 2)), delimiter=",")
+    argv = {
+        "generate": ["generate", "heavydoppler3", "--out", str(tmp_path / "g")],
+        "denoise": ["denoise", str(p), "--out", str(tmp_path / "d"), *FAST],
+        "gof": ["gof", str(p), *FAST],
+        "benchmark": bench_args(tmp_path / "b", seeds=1),
+    }[command]
+    assert run_cli([*argv, "--filter", "xyz"]) == 64
+    assert "unknown wavelet filter 'xyz'" in capsys.readouterr().err

@@ -300,14 +300,6 @@ def test_univariate_fallback_runs():
     assert rep.sigma.dim == 1
 
 
-def test_symmetric_boundary_pipeline_runs():
-    s = make_signal("heavydoppler3", 1024)
-    noisy, _ = add_noise(s, NoiseSpec(3, 0.0, 0.0), rng=np.random.default_rng(19))
-    cfg = DenoiseConfig(calibration_reps=100, boundary="symmetric", levels=3)
-    est, _ = denoise(noisy, cfg, rng=np.random.default_rng(20))
-    assert est.shape == noisy.shape
-
-
 def test_signal_too_short_rejected():
     cfg = DenoiseConfig(calibration_reps=100)
     with pytest.raises(ValueError, match="too short"):
@@ -319,8 +311,8 @@ def test_config_validation():
         DenoiseConfig(p_fa=0.6).validate()
     with pytest.raises(ValueError, match="window_l"):
         DenoiseConfig(window_l=3).validate()
-    with pytest.raises(ValueError, match="boundary"):
-        DenoiseConfig(boundary="zero").validate()
+    with pytest.raises(ValueError, match="unknown wavelet filter 'db99'"):
+        DenoiseConfig(filter_name="db99").validate()
 
 
 # -------------------------------------------------------------- baseline
