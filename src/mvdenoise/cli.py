@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .denoiser import _NULL_CACHE, DenoiseConfig, _precalibrate, baseline_universal, calibrate_threshold, denoise
 from .gofstat import ad_statistic, gof_test, mahalanobis_edf, make_reference
-from .robustcov import CovarianceMatrix, check_mcd_rows, mcd_estimate
+from .robustcov import mcd_estimate
 from .siggen import NoiseSpec, add_noise, make_signal, snr_db
 
 EXIT_OK = 0
@@ -214,45 +214,18 @@ def cmd_denoise(args) -> int:
     return EXIT_OK
 
 
-def _sigma_from_file(path, m: int) -> CovarianceMatrix:
-    sigma = read_csv(path)
-    if sigma.shape != (m, m) or not np.isfinite(sigma).all():
-        rows, cols = sigma.shape
-        raise ParseFailure(f"{path}: expected a finite {m}x{m} covariance matrix, got {rows}x{cols}")
-    try:
-        return CovarianceMatrix.from_matrix(sigma)
-    except ValueError as exc:  # asymmetric, or not positive definite
-        raise ParseFailure(f"{path}: {exc}") from None
-
-
 def cmd_gof(args) -> int:
     cfg = _config_from(args)
     x = read_csv(args.input)
     n, m = x.shape
-    rng = np.random.default_rng(args.seed)
-    if args.sigma_source == "file":
-        if not args.sigma_file:
-            raise UsageError("--sigma-file required when --sigma-source=file")
-        sigma = _sigma_from_file(args.sigma_file, m)
-        # the threshold below is calibrated with an MCD fit on n rows, so
-        # this route needs the rows the MCD route needs
-        try:
-            check_mcd_rows(n, m)
-        except ValueError as exc:
-            raise GeometryError(str(exc)) from exc
-        if not np.isfinite(x).all():
-            raise GeometryError(f"non-finite value encountered in {args.input}")
-    else:
-        try:
-            sigma = mcd_estimate(x, rng)
-        except ValueError as exc:
-            raise GeometryError(str(exc)) from exc
+    try:
+        sigma = mcd_estimate(x, np.random.default_rng(args.seed))
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from exc
     tau = ad_statistic(mahalanobis_edf(x, sigma), make_reference(m))
     # the whole dataset is one window: the scale-1 block of 2n periodic white
     # noise samples holds n iid rows, the covariance is fitted on those same
-    # rows, and a window wider than the block scores them all at once.  With
-    # --sigma-source=file the statistic uses a known covariance and the
-    # plug-in threshold is conservative.
+    # rows, and a window wider than the block scores them all at once.
     threshold = calibrate_threshold(m, n, dataclasses.replace(cfg, window_l=n + n % 2))
     decision = gof_test(tau, threshold)
     if args.json:
@@ -404,10 +377,12 @@ def _write_aggregate(out_dir: Path, results) -> None:
             f.write(f"{sig_name},{method},{rho:g},{str(balanced).lower()},Avg,{float(np.mean(inputs)):.17g},{avg:.17g}\n")
     # aligned text table for humans
     with open(out_dir / "aggregate.txt", "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{'signal':<16}{'method':<10}{'rho':>5}  {'bal':<5}{'input':>8}  per-channel output SNR (dB) -> Avg\n")
-        for (sig_name, method, rho, balanced, _), channels, inputs, means, avg in table:
+        f.write(f"{'signal':<16}{'method':<10}{'rho':>5}  {'bal':<5}  {'input':>8}  per-channel output SNR (dB) -> Avg\n")
+        for (sig_name, method, rho, balanced, snr_key), channels, inputs, means, avg in table:
+            # an unbalanced spec is shown per channel: two specs can share a mean
+            inp = f"{float(np.mean(inputs)):.2f}" if balanced else "/".join(f"{v:g}" for v in snr_key)
             chans = "  ".join(f"{m:6.2f}" for m in means)
-            f.write(f"{sig_name:<16}{method:<10}{rho:>5g}  {str(balanced).lower():<5}{float(np.mean(inputs)):>8.2f}  {chans}  -> {avg:6.2f}\n")
+            f.write(f"{sig_name:<16}{method:<10}{rho:>5g}  {str(balanced).lower():<5}  {inp:>8}  {chans}  -> {avg:6.2f}\n")
 
 
 def _write_plot_data(out_dir: Path, results) -> None:
@@ -449,14 +424,6 @@ def build_parser() -> _Parser:
 
     f = sub.add_parser("gof", help="run the multivariate normality test on CSV rows")
     f.add_argument("input")
-    f.add_argument(
-        "--sigma-source",
-        choices=("mcd", "file"),
-        default="mcd",
-        help="covariance used by the statistic: an MCD fit on the rows, or a CSV matrix; the threshold always "
-        "comes from the MCD plug-in null, which is conservative for a known covariance",
-    )
-    f.add_argument("--sigma-file", default=None)
     f.add_argument("--json", action="store_true")
     _add_shared_flags(f)
     f.set_defaults(func=cmd_gof)

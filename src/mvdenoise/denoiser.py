@@ -143,13 +143,15 @@ def _batch_reps(m: int, n_samples: int, config: DenoiseConfig) -> int:
 def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     """Simulate the statistic ``denoise`` computes on pure noise, per scale.
 
-    Each replication draws white noise, decomposes it, estimates the noise
-    covariance from its own finest-scale block with the estimator ``denoise``
-    uses, whitens every scale with that estimate and scores the windows.  The
-    estimate is in-sample at scale 1 and out-of-sample elsewhere, exactly as
-    on real data.  The MCD estimate about zero is affine equivariant and the
-    transform acts channel-wise, so the resulting law is the same for every
-    noise covariance: drawing from N(0, I) loses nothing.
+    Each replication draws ``n_samples`` rows of white noise, decomposes them
+    (``dwt_forward`` pads them as it pads an input of that length), estimates
+    the noise covariance from its own finest-scale block with the estimator
+    ``denoise`` uses, whitens every scale with that estimate and scores the
+    windows.  The estimate is in-sample at scale 1 and out-of-sample
+    elsewhere, exactly as on real data.  The MCD estimate about zero is
+    affine equivariant and the transform acts channel-wise, so the resulting
+    law is the same for every noise covariance: drawing from N(0, I) loses
+    nothing.
 
     Runs one replication per entry of ``child_seeds``, in batches of
     :func:`_batch_reps`, and returns one (replications, values per
@@ -196,7 +198,7 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
 # Calibration draws from its own stream, never from the caller's rng, so the
 # memo below is a pure function of its key: the order of calls changes no result.
 _CALIBRATION_SEED = 0
-# (channels, padded length, calibration settings) -> (thresholds, retention sd)
+# (channels, input length, calibration settings) -> (thresholds, retention sd)
 _NULL_CACHE: dict = {}
 
 
@@ -260,8 +262,9 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     p_fa at the scales the covariance is not fitted on.  The law does not
     depend on the noise covariance, so thresholds depend only on the
     channel count, the length and the configuration; they are memoised per
-    key.  Pass the padded input length so the simulated blocks match the
-    input's.
+    key.  Each replication is padded by ``dwt_forward`` exactly as an input
+    of ``n_samples`` rows is, so a non-dyadic length is simulated with the
+    mirrored rows its pad duplicates.
     """
     return _plugin_null(n_channels, n_samples, config)[0]
 
@@ -286,8 +289,8 @@ def _precalibrate(n_samples: int, n_channels: int, config: DenoiseConfig, map_fn
     Raises ``ValueError`` where ``denoise`` would reject that geometry, before
     any replication runs.  ``map_fn`` is as in :func:`_plugin_null`.
     """
-    dec = _decompose(np.zeros((n_samples, n_channels)), config)
-    _plugin_null(n_channels, n_samples + dec.pad, config, map_fn)
+    _decompose(np.zeros((n_samples, n_channels)), config)
+    _plugin_null(n_channels, n_samples, config, map_fn)
 
 
 def _decompose(x: np.ndarray, config: DenoiseConfig):
@@ -319,7 +322,7 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None, clean=None):
     coefficient at scale k survives iff the statistic of its window reaches
     the calibrated threshold T_k (ties retained).  Thresholds come from the
     plug-in null of :func:`calibrate_thresholds`, shared by every call with
-    the same channel count, padded length and settings.  Deterministic for a
+    the same channel count, length and settings.  Deterministic for a
     fixed config seed or caller rng.
     """
     config = config or DenoiseConfig()
@@ -337,7 +340,7 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None, clean=None):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sigma = _noise_covariance(dec.details[0], rng)
-        thresholds, null_sd = _plugin_null(m, n + dec.pad, config)
+        thresholds, null_sd = _plugin_null(m, n, config)
     dist = make_reference(m)
 
     taus = []
@@ -370,17 +373,6 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None, clean=None):
         report.snr_per_channel = np.atleast_1d(snr_db(clean, estimate))
         report.snr_average = average_snr_db(clean, estimate)
     return estimate, report
-
-
-def apply_masks(x, report: DenoiseReport) -> np.ndarray:
-    """Rebuild the estimate from the stored per-scale masks (bit-identical)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    filt = get_filter(report.config.filter_name)
-    dec = dwt_forward(x, filt, report.config.levels)
-    new_details = [d * mask[:, None] for d, mask in zip(dec.details, report.keep_masks)]
-    return dwt_inverse(dec.copy_with_details(new_details))
 
 
 def baseline_universal(x, config: DenoiseConfig | None = None, rng=None) -> np.ndarray:

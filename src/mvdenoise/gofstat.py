@@ -7,7 +7,8 @@ form uses the true covariance the weights are all one and the law is exactly
 chi-square with M degrees of freedom; the closed gamma form evaluates that case.
 A power-series evaluation for general weights is kept alongside it: the series
 and the closed form are maintained as independent routes and cross-checked in
-the test suite.
+the test suite.  Both evaluate the CDF only, the one function of the law the
+statistic below reads.
 
 The deviation between a window's empirical distribution of squared distances
 and the reference CDF is scored with the Anderson-Darling statistic, whose
@@ -112,11 +113,10 @@ def make_reference(dims: int, eigenvalues=None, eval_mode: str = "gamma") -> Ref
     return ReferenceDistribution(dims=dims, eigenvalues=lam, eval_mode=eval_mode, log_coeffs=log_coeffs)
 
 
-def _series_eval(dist: ReferenceDistribution, t: np.ndarray, *, density: bool) -> np.ndarray:
-    # Alternating sum over n of c_n t^{M/2+n}/Gamma(M/2+n+1) (CDF) or
-    # c_n t^{M/2+n-1}/Gamma(M/2+n) (pdf), truncated on relative term size.
+def _series_eval(dist: ReferenceDistribution, t: np.ndarray) -> np.ndarray:
+    # CDF as the alternating sum over n of c_n t^{M/2+n}/Gamma(M/2+n+1),
+    # truncated on relative term size.
     m_half = dist.dims / 2.0
-    shift = 0.0 if density else 1.0
     out = np.zeros_like(t)
     pos = t > 0
     if not pos.any():
@@ -128,9 +128,8 @@ def _series_eval(dist: ReferenceDistribution, t: np.ndarray, *, density: bool) -
     grow_streak = 0
     rho = float((1.0 / (2.0 * dist.eigenvalues)).max())
     prev_mag = None
-    n_used = _SERIES_MAX_TERMS
     for n in range(_SERIES_MAX_TERMS + 1):
-        expo = m_half + n - 1.0 + shift
+        expo = m_half + n
         logterm = dist.log_coeffs[n] + expo * logt - special.gammaln(expo + 1.0)
         mag = np.exp(logterm)
         total += mag if n % 2 == 0 else -mag
@@ -142,7 +141,7 @@ def _series_eval(dist: ReferenceDistribution, t: np.ndarray, *, density: bool) -
             # treat it as divergence past the expected turnover index
             if grow_streak >= 5 and n > rho * float(tv.max()) + 5:
                 if dist.is_isotropic:
-                    return _gamma_eval(dist, t, density=density)
+                    return _gamma_eval(dist, t)
                 raise SeriesDivergenceError("series terms grow past the expected turnover")
         else:
             grow_streak = 0
@@ -151,30 +150,17 @@ def _series_eval(dist: ReferenceDistribution, t: np.ndarray, *, density: bool) -
             break
     if float(peak.max()) > _SERIES_PEAK_LIMIT:
         if dist.is_isotropic:
-            return _gamma_eval(dist, t, density=density)
+            return _gamma_eval(dist, t)
         raise SeriesDivergenceError("cancellation exhausted the series' reliable range")
     out[pos] = total
     return out
 
 
-def _gamma_eval(dist: ReferenceDistribution, t: np.ndarray, *, density: bool) -> np.ndarray:
+def _gamma_eval(dist: ReferenceDistribution, t: np.ndarray) -> np.ndarray:
     # Equal weights lam: y = lam * chi2_M, evaluated through the regularized
     # incomplete gamma function.
     lam = float(dist.eigenvalues[0])
-    m_half = dist.dims / 2.0
-    u = t / lam
-    if not density:
-        return special.gammainc(m_half, u / 2.0)
-    out = np.zeros_like(t)
-    pos = u > 0
-    with np.errstate(divide="ignore"):
-        logpdf = (m_half - 1.0) * np.log(u[pos]) - u[pos] / 2.0 - m_half * math.log(2.0) - special.gammaln(m_half)
-    out[pos] = np.exp(logpdf) / lam
-    if dist.dims == 2:
-        out[~pos & (t >= 0)] = 0.5 / lam
-    elif dist.dims == 1:
-        out[~pos & (t >= 0)] = np.inf
-    return out
+    return special.gammainc(dist.dims / 2.0, t / lam / 2.0)
 
 
 def reference_cdf(dist: ReferenceDistribution, t):
@@ -185,27 +171,9 @@ def reference_cdf(dist: ReferenceDistribution, t):
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     if dist.eval_mode == "gamma":
-        out = _gamma_eval(dist, t_arr, density=False)
+        out = _gamma_eval(dist, t_arr)
     else:
-        out = np.clip(_series_eval(dist, t_arr, density=False), 0.0, 1.0)
-    return float(out[0]) if scalar else out
-
-
-def reference_pdf(dist: ReferenceDistribution, y):
-    """Density of the reference quadratic-form law for y >= 0."""
-    y_arr = np.asarray(y, dtype=np.float64)
-    if (y_arr < 0).any():
-        raise ValueError("y must be nonnegative")
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
-    if dist.eval_mode == "gamma":
-        out = _gamma_eval(dist, y_arr, density=True)
-    else:
-        out = np.maximum(_series_eval(dist, y_arr, density=True), 0.0)
-        if dist.dims == 2:
-            out[y_arr == 0] = float(np.exp(dist.log_coeffs[0]))
-        elif dist.dims == 1:
-            out[y_arr == 0] = np.inf
+        out = np.clip(_series_eval(dist, t_arr), 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 

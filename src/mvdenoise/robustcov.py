@@ -82,10 +82,6 @@ class CovarianceMatrix:
         z = sla.solve_triangular(self.chol, rows.T, lower=True)
         return np.einsum("ij,ij->j", z, z)
 
-    def inverse(self) -> np.ndarray:
-        ident = np.eye(self.dim)
-        return sla.cho_solve((self.chol, True), ident)
-
 
 def sample_covariance(coeffs) -> CovarianceMatrix:
     """Unbiased zero-mean sample covariance X^T X / (n - 1).
@@ -208,12 +204,6 @@ def _nested_candidates(x: np.ndarray, h: int, rng) -> np.ndarray:
     return _best_candidates(_Concentrator(x[parts.ravel()], h_merged), np.concatenate(starts))[1]
 
 
-def check_mcd_rows(n: int, m: int) -> None:
-    """Raise ``ValueError`` unless :func:`mcd_estimate` accepts ``n`` rows of ``m`` channels."""
-    if n < 2 * (m + 1):
-        raise ValueError(f"need at least {2 * (m + 1)} rows for M={m}, got {n}")
-
-
 def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
     """Minimum-covariance-determinant estimate of the noise covariance.
 
@@ -239,7 +229,8 @@ def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
     """
     x = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     n, m = x.shape
-    check_mcd_rows(n, m)
+    if n < 2 * (m + 1):
+        raise ValueError(f"need at least {2 * (m + 1)} rows for M={m}, got {n}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite coefficient encountered")
 

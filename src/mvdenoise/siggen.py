@@ -57,7 +57,6 @@ def _unit_power(x: np.ndarray) -> np.ndarray:
 class TestSignal:
     name: str
     channels: np.ndarray  # (N, M)
-    provenance: str
 
     @property
     def n_samples(self) -> int:
@@ -68,12 +67,12 @@ class TestSignal:
         return self.channels.shape[1]
 
 
-def make_signal(name: str, n: int, channels=None) -> TestSignal:
+def make_signal(name: str, n: int) -> TestSignal:
     """Construct a named multichannel test signal of length n.
 
     "heavydoppler3" stacks unit-power heavisine, unit-power doppler, and their
     sum; "bumpsblocks4" stacks unit-power blocks, unit-power bumps, their
-    difference and their sum.  "custom" wraps a caller-supplied (N, M) array.
+    difference and their sum.
     """
     if n < 256:
         raise ValueError("n must be >= 256")
@@ -81,26 +80,13 @@ def make_signal(name: str, n: int, channels=None) -> TestSignal:
         c1 = _unit_power(heavisine(n))
         c2 = _unit_power(doppler(n))
         chans = np.column_stack([c1, c2, c1 + c2])
-        prov = "unit-power heavisine; unit-power doppler; their sum"
     elif name == "bumpsblocks4":
         c1 = _unit_power(blocks(n))
         c2 = _unit_power(bumps(n))
         chans = np.column_stack([c1, c2, c1 - c2, c1 + c2])
-        prov = "unit-power blocks; unit-power bumps; difference; sum"
-    elif name == "custom":
-        if channels is None:
-            raise ValueError("custom signal requires a channels array")
-        chans = np.atleast_2d(np.asarray(channels, dtype=np.float64))
-        if chans.shape[0] == 1 and chans.shape[1] == n:
-            chans = chans.T
-        if chans.shape[0] != n:
-            raise ValueError("channels array length does not match n")
-        prov = "caller-supplied channels"
     else:
         raise ValueError(f"unknown signal name {name!r}")
-    if not np.isfinite(chans).all():
-        raise ValueError("signal contains non-finite values")
-    return TestSignal(name=name, channels=chans, provenance=prov)
+    return TestSignal(name=name, channels=chans)
 
 
 @dataclass(frozen=True)

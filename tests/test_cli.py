@@ -149,52 +149,13 @@ def test_gof_holds_null_across_seeds(tmp_path, capsys):
         assert res["decision"] == "H0_noise"
 
 
-def test_gof_sigma_from_file(tmp_path, capsys):
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((2048, 2))
-    p = tmp_path / "x.csv"
-    np.savetxt(p, x, delimiter=",")
-    sp = tmp_path / "sigma.csv"
-    np.savetxt(sp, np.eye(2), delimiter=",")
-    rc = run_cli(["gof", str(p), "--sigma-source", "file", "--sigma-file", str(sp), "--calib-reps", "400", "--json"])
-    assert rc == 0
-    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert res["decision"] == "H0_noise"
-
-
-@pytest.mark.parametrize(
-    "sigma, why",
-    [
-        (np.eye(3), "3x3"),
-        (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
-        (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
-        (np.array([[1.0, 0.0], [0.0, np.inf]]), "finite"),
-    ],
-    ids=["wrong-size", "not-pd", "asymmetric", "non-finite"],
-)
-def test_gof_bad_sigma_file_is_parse_error(tmp_path, capsys, sigma, why):
-    p = tmp_path / "x.csv"
-    np.savetxt(p, np.random.default_rng(3).standard_normal((256, 2)), delimiter=",")
-    sp = tmp_path / "sigma.csv"
-    np.savetxt(sp, sigma, delimiter=",")
-    rc = run_cli(["gof", str(p), "--sigma-source", "file", "--sigma-file", str(sp), *FAST])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(sp) in err and why in err
-
-
 def test_gof_sigma_file_with_non_finite_data_is_geometry_error(tmp_path, capsys):
     x = np.random.default_rng(4).standard_normal((256, 2))
     x[17, 1] = np.nan
     p = tmp_path / "x.csv"
     np.savetxt(p, x, delimiter=",")
-    sp = tmp_path / "sigma.csv"
-    np.savetxt(sp, np.eye(2), delimiter=",")
-    rc = run_cli(["gof", str(p), "--sigma-source", "file", "--sigma-file", str(sp), *FAST])
-    assert rc == 3
-    assert "non-finite" in capsys.readouterr().err
-    # the MCD route reports the same input the same way
     assert run_cli(["gof", str(p), *FAST]) == 3
+    assert "non-finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rows", [1, 5])
@@ -202,13 +163,8 @@ def test_gof_too_few_rows_is_geometry_error_on_both_routes(tmp_path, capsys, row
     # M=2 needs 2(M+1) = 6 rows: the MCD fit, and the threshold's calibration, need them
     p = tmp_path / "x.csv"
     np.savetxt(p, np.random.default_rng(5).standard_normal((rows, 2)), delimiter=",")
-    sp = tmp_path / "sigma.csv"
-    np.savetxt(sp, np.eye(2), delimiter=",")
     assert run_cli(["gof", str(p), *FAST]) == 3
-    mcd_err = capsys.readouterr().err
-    assert run_cli(["gof", str(p), "--sigma-source", "file", "--sigma-file", str(sp), *FAST]) == 3
-    assert capsys.readouterr().err == mcd_err
-    assert f"need at least 6 rows for M=2, got {rows}" in mcd_err
+    assert f"need at least 6 rows for M=2, got {rows}" in capsys.readouterr().err
 
 
 def test_gof_pfa_out_of_range_is_usage_error(tmp_path):
@@ -264,6 +220,16 @@ def test_benchmark_row_cardinality_and_aggregate(tmp_path):
 
     plots = sorted(p.name for p in out.glob("plot_*.csv"))
     assert plots == ["plot_heavydoppler3_baseline_rho0.csv", "plot_heavydoppler3_mgwd_rho0.csv"]
+
+
+def test_benchmark_aggregate_text_tells_unbalanced_specs_apart(tmp_path):
+    out = tmp_path / "b"
+    args = [*bench_args(out, seeds=1, methods="baseline"), "--snrs=-3,-5,-7;-7,-5,-3", "--n", "512"]
+    assert run_cli(args) == 0
+    # both specs have mean input -5 dB; each keeps its own row
+    rows = (out / "aggregate.txt").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert [r.split()[4] for r in rows] == ["-7/-5/-3", "-3/-5/-7"]
 
 
 def test_benchmark_deterministic_bytes(tmp_path):
@@ -322,6 +288,7 @@ def test_benchmark_short_signal_is_usage_error(tmp_path, capsys):
 def test_cli_usage_error_exit_code():
     assert main(["denoise"]) == 64  # missing input argument
     assert main(["denoise", "x.csv", "--boundary", "periodic"]) == 64  # no such flag: the transform is periodic
+    assert main(["gof", "x.csv", "--sigma-source", "mcd"]) == 64  # no such flag: gof always fits the MCD
 
 
 @pytest.mark.parametrize("command", ["generate", "denoise", "gof", "benchmark"])

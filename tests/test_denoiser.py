@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mvdenoise import denoiser, gofstat
 from mvdenoise.denoiser import (
     DenoiseConfig,
-    apply_masks,
     baseline_universal,
     calibrate_threshold,
     calibrate_thresholds,
@@ -20,7 +19,7 @@ from mvdenoise.denoiser import (
 )
 from mvdenoise.robustcov import CovarianceMatrix
 from mvdenoise.siggen import NoiseSpec, add_noise, average_snr_db, make_signal
-from mvdenoise.wavelet import dwt_forward, get_filter
+from mvdenoise.wavelet import dwt_forward, dwt_inverse, get_filter
 
 pytestmark = pytest.mark.filterwarnings("ignore:calibration_reps")
 
@@ -189,18 +188,29 @@ def test_low_reps_warn_about_quantile_resolution():
 def test_null_pool_replication_is_the_pipeline_statistic():
     # each calibration replication is exactly what denoise computes on pure
     # noise, covariance estimate included; a null that whitens by a known
-    # covariance instead fails this at every scale
+    # covariance instead fails this at every scale.  At a non-dyadic length
+    # both pad the noise the same way.
     cfg = DenoiseConfig(calibration_reps=100, levels=4)
-    m, n = 2, 512
+    m = 2
     child = child_seeds(3, cfg.calibration_reps)
-    pools = _null_tau_pool(m, n, cfg, child)
-    for r in (0, 57):
-        g = np.random.default_rng(int(child[r]))
-        noise = g.standard_normal((n, m))
-        _, rep = denoise(noise, cfg, rng=g)
-        for k in range(cfg.levels):
-            expected = rep.tau[k] if pools[k].shape[1] > 1 else rep.tau[k][:1]
-            assert np.allclose(pools[k][r], expected, rtol=1e-9, atol=1e-9)
+    for n in (512, 500):
+        pools = _null_tau_pool(m, n, cfg, child)
+        for r in (0, 57):
+            g = np.random.default_rng(int(child[r]))
+            noise = g.standard_normal((n, m))
+            _, rep = denoise(noise, cfg, rng=g)
+            for k in range(cfg.levels):
+                expected = rep.tau[k] if pools[k].shape[1] > 1 else rep.tau[k][:1]
+                assert np.allclose(pools[k][r], expected, rtol=1e-9, atol=1e-9)
+
+
+def test_denoise_calibrates_the_unpadded_length():
+    # a 500-row input is padded to 512 for the transform, but its null is
+    # simulated at 500 rows, where the pad mirrors noise as it mirrors data
+    cfg = DenoiseConfig(calibration_reps=100, levels=4)
+    x = np.random.default_rng(8).standard_normal((500, 2))
+    _, rep = denoise(x, cfg, rng=np.random.default_rng(9))
+    assert np.array_equal(rep.thresholds, calibrate_thresholds(2, 500, cfg))
 
 
 def test_calibration_does_not_depend_on_noise_covariance():
@@ -256,7 +266,9 @@ def test_masks_reproduce_estimate_bit_identically():
     noisy, _ = add_noise(s, NoiseSpec(3, 0.25, 0.0), rng=np.random.default_rng(3))
     cfg = DenoiseConfig(calibration_reps=150)
     est, rep = denoise(noisy, cfg, rng=np.random.default_rng(4))
-    again = apply_masks(noisy, rep)
+    dec = dwt_forward(noisy, get_filter(cfg.filter_name), cfg.levels)
+    kept = [d * mask[:, None] for d, mask in zip(dec.details, rep.keep_masks)]
+    again = dwt_inverse(dec.copy_with_details(kept))
     assert np.array_equal(est, again)
 
 

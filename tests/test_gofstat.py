@@ -12,7 +12,6 @@ from mvdenoise.gofstat import (
     mahalanobis_edf,
     make_reference,
     reference_cdf,
-    reference_pdf,
 )
 from mvdenoise.robustcov import CovarianceMatrix
 
@@ -78,26 +77,6 @@ def test_series_with_unequal_weights_matches_monte_carlo():
 def test_gamma_mode_rejects_unequal_weights():
     with pytest.raises(ValueError, match="equal eigenvalues"):
         make_reference(3, [1.0, 2.0, 3.0], eval_mode="gamma")
-
-
-def test_pdf_values_at_origin():
-    assert reference_pdf(make_reference(2), 0.0) == 0.5
-    assert reference_pdf(make_reference(3), 0.0) == 0.0
-    assert reference_pdf(make_reference(4, eval_mode="series"), 0.0) == 0.0
-
-
-def test_pdf_integrates_to_one():
-    dist = make_reference(4)
-    val, _ = integrate.quad(lambda y: reference_pdf(dist, y), 0.0, 50.0)
-    assert abs(val - 1.0) < 1e-6
-
-
-def test_pdf_matches_cdf_derivative():
-    dist = make_reference(3, eval_mode="series")
-    for y in (0.5, 1.0, 3.0, 7.0):
-        h = 1e-5
-        numeric = (reference_cdf(dist, y + h) - reference_cdf(dist, y - h)) / (2 * h)
-        assert abs(reference_pdf(dist, y) - numeric) < 1e-5
 
 
 def test_mahalanobis_edf_zero_window():

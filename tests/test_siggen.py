@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvdenoise import siggen
 from mvdenoise.siggen import (
     NoiseSpec,
     add_noise,
@@ -46,12 +47,6 @@ def test_minimum_length_enforced():
         make_signal("heavydoppler3", 128)
 
 
-def test_custom_channels():
-    chans = np.random.default_rng(0).standard_normal((512, 2))
-    s = make_signal("custom", 512, channels=chans)
-    assert np.array_equal(s.channels, chans)
-
-
 def test_balanced_noise_hits_target_exactly():
     s = make_signal("heavydoppler3", 2048)
     noisy, psi = add_noise(s, NoiseSpec(3, correlation=0.5, target_snr_db=0.0), rng=np.random.default_rng(1))
@@ -71,7 +66,7 @@ def test_unbalanced_noise_per_channel_targets():
 
 def test_uncorrelated_noise_has_small_sample_correlation():
     n = 4096
-    s = make_signal("custom", n, channels=np.ones((n, 3)))
+    s = siggen.TestSignal("ones", np.ones((n, 3)))
     _, psi = add_noise(s, NoiseSpec(3, correlation=0.0, target_snr_db=0.0), rng=np.random.default_rng(3))
     corr = np.corrcoef(psi.T)
     off = corr[~np.eye(3, dtype=bool)]
@@ -80,7 +75,7 @@ def test_uncorrelated_noise_has_small_sample_correlation():
 
 def test_noise_covariance_converges_to_spec():
     n = 100_000
-    s = make_signal("custom", n, channels=np.ones((n, 2)))
+    s = siggen.TestSignal("ones", np.ones((n, 2)))
     rho = 0.5
     _, psi = add_noise(s, NoiseSpec(2, correlation=rho, target_snr_db=0.0), rng=np.random.default_rng(4))
     target = np.array([[1.0, rho], [rho, 1.0]])  # unit-power channels at 0 dB
