@@ -27,7 +27,13 @@ from .robustcov import CovarianceMatrix, SingularCovarianceError, mcd_estimate
 from .siggen import average_snr_db, snr_db
 from .wavelet import FILTER_NAMES, dwt_forward, dwt_inverse, get_filter
 
-_CAL_CHUNK_VALUES = 6_000_000  # cap on reps*block*window floats held at once
+# Replications per calibration batch: reps * N * (window + 1) / 2 stays under
+# this.  The windows are scored in chunks of _SCORE_CHUNK_VALUES, so it bounds
+# only a batch's noise and transform arrays (reps * N * M floats each); its
+# value fixes the batches, and so the benchmark matrix's pool tasks.
+_CAL_CHUNK_VALUES = 6_000_000
+# floats sorted at once by the window scorer (512 KB, an L2-sized buffer)
+_SCORE_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,19 +119,34 @@ def _tau_from_logs(lf: np.ndarray, l1f: np.ndarray, window: int) -> np.ndarray:
     # 1974).  With d = ln F - ln(1-F), which increases with F, the sum equals
     # sum_l (2l-1) d_(l) + 2w sum ln(1-F) exactly, ties included: one sort
     # per window, and the second sum is a difference of cumulative sums.
+    #
+    # The windows are never materialised together: each chunk of at most
+    # _SCORE_CHUNK_VALUES floats is copied into one C-ordered buffer, sorted
+    # there and weighted, so memory is O(chunk) above the (..., B) inputs and
+    # the sort runs on contiguous rows whatever the layout of lf and l1f.
     b = lf.shape[-1]
-    d = lf - l1f
     if b < window:
         w = b
-        s = np.sort(d, axis=-1) @ (2.0 * np.arange(1, w + 1) - 1.0) + 2 * w * l1f.sum(axis=-1)
+        s = np.sort(lf - l1f, axis=-1) @ (2.0 * np.arange(1, w + 1) - 1.0) + 2 * w * l1f.sum(axis=-1)
         return np.repeat((-w - s / w)[..., None], b, axis=-1)
     w = window
-    sorted_windows = np.array(_reflected_windows(d, w))
-    sorted_windows.sort(axis=-1)
+    d = np.subtract(lf, l1f, order="C")
+    weights = 2.0 * np.arange(1, w + 1) - 1.0
+    windows = _reflected_windows(d.reshape(-1, b), w)
+    s = np.empty(windows.shape[:2])
+    span = min(b, max(1, _SCORE_CHUNK_VALUES // w))  # positions per chunk
+    buf = np.empty((span, w))
+    for r in range(s.shape[0]):
+        for lo in range(0, b, span):
+            chunk = buf[: min(span, b - lo)]
+            np.copyto(chunk, windows[r, lo : lo + span])
+            chunk.sort(axis=-1)
+            np.matmul(chunk, weights, out=s[r, lo : lo + span])
+    s = s.reshape(d.shape)
     # one more reflected value in front, so csum[i + w] - csum[i] is the sum
     # over the window centred at i
     csum = np.cumsum(np.pad(l1f, [(0, 0)] * (l1f.ndim - 1) + [(w // 2 + 1, w // 2)], mode="reflect"), axis=-1)
-    s = sorted_windows @ (2.0 * np.arange(1, w + 1) - 1.0) + 2 * w * (csum[..., w:] - csum[..., :-w])
+    s += 2 * w * (csum[..., w:] - csum[..., :-w])
     return -w - s / w
 
 
@@ -136,7 +157,7 @@ def _block_tau(y_block: np.ndarray, dist: ReferenceDistribution, window: int) ->
 
 
 def _batch_reps(m: int, n_samples: int, config: DenoiseConfig) -> int:
-    # replications scored at once, so that reps*block*window floats stay under the cap
+    # replications per calibration batch: see _CAL_CHUNK_VALUES
     return max(1, _CAL_CHUNK_VALUES // max(n_samples * (config.window_size(m) + 1) // 2, 1))
 
 
@@ -159,8 +180,8 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     have one shared window per replication and contribute a single value
     each.  Replication r draws from the generator seeded by ``child_seeds[r]``
     alone, but the rounding of its statistic depends on which replications
-    share its batch (values moved by up to 1e-12 when a batch of 12 was
-    split 6+6 or 1x12), so pools of slices of the seeds concatenate to the
+    share its batch (values moved by up to 3e-13 when a batch of 12 was
+    split 6+6 or 12x1), so pools of slices of the seeds concatenate to the
     pool of the whole vector bit for bit only when the slices are cut at
     batch boundaries.  The windows are scored in double precision by the
     kernel ``denoise`` uses.
@@ -170,7 +191,7 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     dist = make_reference(m)
     filt = get_filter(config.filter_name)
     chunk = _batch_reps(m, n_samples, config)
-    pools = [[] for _ in range(config.levels)]
+    pools = None
 
     for start in range(0, reps, chunk):
         gens = [np.random.default_rng(int(s)) for s in child_seeds[start : start + chunk]]
@@ -178,21 +199,21 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
         noise = np.stack([g.standard_normal((n_samples, m)) for g in gens], axis=1)
         dec = dwt_forward(noise.reshape(n_samples, c * m), filt, config.levels)
         details = [d.reshape(d.shape[0], c, m) for d in dec.details]
+        if pools is None:
+            # a shrunk block (shorter than the window) has one shared window
+            # per realisation: it pools a single value each
+            pools = [np.empty((reps, d.shape[0] if d.shape[0] > window else 1)) for d in details]
         # v -> v^T sigma_r^{-1} v evaluated as |ichol_r v|^2, one factor per replication
         ichol = np.empty((c, m, m))
         for j, g in enumerate(gens):
             chol = _noise_covariance(details[0][:, j], g).chol
             ichol[j] = sla.solve_triangular(chol, np.eye(m), lower=True)
-        for k, d in enumerate(details):
-            bl = d.shape[0]
+        for pool, d in zip(pools, details):
             z = np.einsum("cij,bcj->cbi", ichol, d)
             y = np.einsum("cbi,cbi->cb", z, z)
             tau = _tau_from_logs(*_block_logs(dist, y), window + 1)
-            if bl < window + 1:
-                # one shared window per realization: pool a single value each
-                tau = tau[:, :1]
-            pools[k].append(tau)
-    return [np.concatenate(p) for p in pools]
+            pool[start : start + c] = tau[:, : pool.shape[1]]
+    return pools
 
 
 # Calibration draws from its own stream, never from the caller's rng, so the
@@ -212,8 +233,8 @@ def _plugin_null(m: int, n_samples: int, config: DenoiseConfig, map_fn=None):
     contiguous slice of the child seeds) per call through it.  Every batch is
     scored as in the single pass, so the result is the same either way.  The
     single pass stays the default because each call frees its working
-    buffers and the next faults them in again: one call per batch took 2 to
-    4 times the page faults, and about 10 % longer, at M=4, N=1024.
+    buffers and the next faults them in again: one call per batch took up
+    to 1.7 times the page faults, and 2 to 10 % longer, at M=4, N=1024.
     """
     config.validate()
     reps = config.calibration_reps

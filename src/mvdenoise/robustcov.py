@@ -131,16 +131,19 @@ class _Concentrator:
 
     Rows are kept as their packed outer products (the upper triangle of
     x x^T), so the distances of every row under a batch of scatters and the
-    scatters of a batch of subsets are each one matrix product.  Candidate
-    scatters carry a ridge of 1e-10 of the mean variance so singular
-    elemental subsets stay usable; the search only needs distance ranks.
+    scatters of a batch of subsets are each one matrix product.  A last
+    column of ones makes that product return each subset's size as well.
+    Candidate scatters carry a ridge of 1e-10 of the mean variance so
+    singular elemental subsets stay usable; the search only needs distance
+    ranks.
     """
 
     def __init__(self, x: np.ndarray, h: int):
         n, m = x.shape
         self.m, self.h = m, h
         self.iu, self.ju = np.triu_indices(m)
-        self.feats = x[:, self.iu] * x[:, self.ju]
+        self.feats1 = np.column_stack([x[:, self.iu] * x[:, self.ju], np.ones(n)])
+        self.feats = self.feats1[:, :-1]
         self.off = np.where(self.iu == self.ju, 1.0, 2.0)
         self.ridge = (1e-10 * np.trace(x.T @ x) / (n * m)) * np.eye(m)
 
@@ -160,9 +163,9 @@ class _Concentrator:
             inv = np.linalg.inv(scatters[lo : lo + chunk] + self.ridge)
             dists = (inv[:, self.iu, self.ju] * self.off) @ self.feats.T
             kth = np.partition(dists, self.h - 1, axis=1)[:, self.h - 1 : self.h]
-            sub = dists <= kth
-            packed[lo : lo + chunk] = (sub @ self.feats) / sub.sum(axis=1, keepdims=True)
-            subsets[lo : lo + chunk] = sub
+            sub = np.less_equal(dists, kth, out=subsets[lo : lo + chunk])
+            sums = sub @ self.feats1
+            packed[lo : lo + chunk] = sums[:, :-1] / sums[:, -1:]
         return subsets, self.unpack(packed)
 
 
@@ -244,17 +247,22 @@ def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
     h = int(min(max(h, m + 1), n))
     conc = _Concentrator(x, h)
     if n > 2 * _SUBSET_ROWS:
-        # no full-block subsets yet: the first refinement step cannot converge
-        subsets, scatters = None, _nested_candidates(x, h, rng)
+        # no full-block subsets yet: empty ones, which no step reproduces
+        scatters = _nested_candidates(x, h, rng)
+        subsets = np.zeros((scatters.shape[0], n), dtype=bool)
     else:
         subsets, scatters = _best_candidates(conc, _elemental_scatters(x, rng, _N_TRIALS))
 
-    # iterate the best candidates together until every subset is a fixed point
+    # Iterate the best candidates until every subset is a fixed point.  Only
+    # those whose subset moved in the last step are stepped again: a subset
+    # that maps to itself, with its scatter, keeps doing so.
+    moving = np.arange(scatters.shape[0])
     for _ in range(_MAX_REFINE):
-        new_subsets, scatters = conc.step(scatters)
-        converged = np.array_equal(new_subsets, subsets)
-        subsets = new_subsets
-        if converged:
+        new_subsets, scatters[moving] = conc.step(scatters[moving])
+        moved = (new_subsets != subsets[moving]).any(axis=1)
+        subsets[moving] = new_subsets
+        moving = moving[moved]
+        if not moving.size:
             break
     sign, logdets = np.linalg.slogdet(scatters)
     logdets[sign <= 0] = np.inf

@@ -149,7 +149,7 @@ def test_gof_holds_null_across_seeds(tmp_path, capsys):
         assert res["decision"] == "H0_noise"
 
 
-def test_gof_sigma_file_with_non_finite_data_is_geometry_error(tmp_path, capsys):
+def test_gof_non_finite_data_is_geometry_error(tmp_path, capsys):
     x = np.random.default_rng(4).standard_normal((256, 2))
     x[17, 1] = np.nan
     p = tmp_path / "x.csv"
@@ -159,7 +159,7 @@ def test_gof_sigma_file_with_non_finite_data_is_geometry_error(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("rows", [1, 5])
-def test_gof_too_few_rows_is_geometry_error_on_both_routes(tmp_path, capsys, rows):
+def test_gof_too_few_rows_is_geometry_error(tmp_path, capsys, rows):
     # M=2 needs 2(M+1) = 6 rows: the MCD fit, and the threshold's calibration, need them
     p = tmp_path / "x.csv"
     np.savetxt(p, np.random.default_rng(5).standard_normal((rows, 2)), delimiter=",")

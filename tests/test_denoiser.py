@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,34 @@ def test_block_tau_matches_scalar_statistic_everywhere(m, block_len, half, seed)
         win = y if block_len < window else reflected_window(y, i, half)
         ref = gofstat.ad_statistic(gofstat.MahalanobisEdf(np.sort(win), win.size), dist)
         assert abs(tau[i] - ref) < 1e-9
+
+
+@pytest.mark.parametrize("block_len", [40, 200, 1024])
+def test_batched_tau_matches_each_row_in_either_layout(block_len):
+    # calibration scores a (replications, B) batch whose layout follows the
+    # einsum that made it; blocks shorter than the window, blocks of one
+    # scoring chunk and blocks of several chunks all score each row as alone
+    window = 85
+    y = np.random.default_rng(block_len).chisquare(3, size=(5, block_len))
+    lf, l1f = denoiser._block_logs(gofstat.make_reference(3), y)
+    rows = np.array([denoiser._tau_from_logs(lf[r], l1f[r], window) for r in range(5)])
+    for order in ("C", "F"):
+        batch = denoiser._tau_from_logs(np.asarray(lf, order=order), np.asarray(l1f, order=order), window)
+        assert np.abs(batch - rows).max() < 1e-12
+
+
+def test_block_tau_memory_is_bounded_by_its_chunk():
+    # the windows are copied and sorted a chunk at a time: all 113-point
+    # windows of a 2^17-row block at once would take 113 MB
+    y = np.random.default_rng(6).chisquare(4, size=2**17)
+    dist = gofstat.make_reference(4)
+    tracemalloc.start()
+    try:
+        _block_tau(y, dist, 113)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ------------------------------------------------------------ calibration
