@@ -35,6 +35,7 @@ EXIT_GEOMETRY = 3
 EXIT_USAGE = 64
 
 MANIFEST_NAME = "manifest.json"
+METHODS = ("mgwd", "baseline")
 
 
 class UsageError(Exception):
@@ -244,16 +245,16 @@ def _benchmark_cell(params):
     _NULL_CACHE.update(null_memo)
     signal = make_signal(signal_name, n)
     spec = NoiseSpec(signal.n_channels, rho, snr_spec)
-    noise_rng = np.random.default_rng([master_seed, hash_str(signal_name), int(rho * 1000), rep_index])
+    # seed words must be non-negative; the modulus leaves every rho >= 0 unchanged
+    rho_key = int(rho * 1000) % 2**32
+    noise_rng = np.random.default_rng([master_seed, hash_str(signal_name), rho_key, rep_index])
     noisy, _ = add_noise(signal, spec, rng=noise_rng)
-    method_rng = np.random.default_rng([master_seed, hash_str(signal_name), int(rho * 1000), rep_index, hash_str(method)])
+    method_rng = np.random.default_rng([master_seed, hash_str(signal_name), rho_key, rep_index, hash_str(method)])
     try:
         if method == "mgwd":
             estimate, _ = denoise(noisy, cfg, rng=method_rng)
-        elif method == "baseline":
-            estimate = baseline_universal(noisy, cfg, rng=method_rng)
         else:
-            raise UsageError(f"unknown method {method!r}")
+            estimate = baseline_universal(noisy, cfg, rng=method_rng)
         per_channel = np.atleast_1d(snr_db(signal.channels, estimate))
         status = "ok"
     except Exception as exc:  # mark the cell, keep the run going
@@ -276,17 +277,34 @@ def hash_str(s: str) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _config_from(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     signals = [s.strip() for s in args.signals.split(",") if s.strip()]
     snrs = [_parse_snr_spec(s) for s in args.snrs.split(";")] if ";" in args.snrs else [_parse_snr_spec(p) for p in args.snrs.split(",")]
-    rhos = [float(r) for r in args.rhos.split(",") if r.strip()]
+    try:
+        rhos = [float(r) for r in args.rhos.split(",") if r.strip()]
+    except ValueError:
+        raise UsageError(f"invalid rho list {args.rhos!r}") from None
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not signals or not methods or not rhos or not snrs:
         raise UsageError("benchmark matrix must name signals, snrs, rhos and methods")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise UsageError(f"unknown method {unknown[0]!r}; choose from {', '.join(METHODS)}")
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
 
     workers = _worker_count()
     channels = {name: _named_signal(name, args.n).n_channels for name in signals}
+    for m in sorted(set(channels.values())):
+        for rho in rhos:
+            for snr_spec in snrs:
+                spec = NoiseSpec(m, rho, snr_spec)
+                try:
+                    spec.correlation_matrix()
+                    spec.snr_targets()
+                except ValueError as exc:
+                    raise UsageError(f"{exc} (rho={rho:g}, snr={snr_spec}, {m} channels)") from exc
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = []
     for sig_name in signals:

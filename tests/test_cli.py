@@ -250,10 +250,11 @@ def test_benchmark_parallel_matches_serial(tmp_path):
     assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
 
 
-def test_benchmark_baseline_only_never_calibrates(tmp_path, monkeypatch):
-    def no_calibration(*args):
-        raise AssertionError("calibration entered")
+def no_calibration(*args):
+    raise AssertionError("calibration entered")
 
+
+def test_benchmark_baseline_only_never_calibrates(tmp_path, monkeypatch):
     monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
     # a replication count no other test uses, so the memo holds no entry for it
     args = [*bench_args(tmp_path / "b", seeds=1, methods="baseline"), "--calib-reps", "101"]
@@ -271,6 +272,34 @@ def test_benchmark_uncalibratable_geometry_gives_error_rows(tmp_path):
     rows = (out / "results.csv").read_text().splitlines()[2:]
     assert len(rows) == 2 * 3
     assert all(",error: signal too short: " in r for r in rows)
+
+
+def test_benchmark_negative_rho(tmp_path):
+    # -0.2 is a valid equicorrelation for three channels
+    out = tmp_path / "b"
+    assert run_cli([*bench_args(out, seeds=1, methods="baseline"), "--snrs", "0", "--rhos=-0.2"]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[2:]
+    assert len(rows) == 3
+    assert all(r.startswith("heavydoppler3,baseline,-0.2,") and r.endswith(",ok") for r in rows)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--methods", "mgwd,foo"], "unknown method 'foo'"),
+        (["--rhos", "0,1.5"], "not positive definite (rho=1.5"),
+        (["--rhos", "abc"], "invalid rho list 'abc'"),
+        (["--snrs=-3,-5;0,0,0"], "need one SNR target per channel"),
+        (["--seeds", "0"], "--seeds must be >= 1"),
+    ],
+    ids=["method", "rho", "rho-text", "snr-count", "seeds"],
+)
+def test_benchmark_bad_matrix_is_usage_error_before_calibration(tmp_path, monkeypatch, capsys, extra, message):
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    out = tmp_path / "b"
+    assert run_cli([*bench_args(out, seeds=1, methods="mgwd"), "--calib-reps", "101", *extra]) == 64
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from mvdenoise.robustcov import (
     CovarianceMatrix,
     SingularCovarianceError,
+    _chi2_quantile,
+    _consistency_factor,
     mcd_estimate,
     sample_covariance,
 )
@@ -177,3 +180,13 @@ def test_mcd_nested_route_resists_shifted_rows():
     x[rng.choice(2000, size=400, replace=False)] += 8.0 / np.sqrt(3.0)
     est = mcd_estimate(x, np.random.default_rng(15))
     assert np.abs(est.sigma - np.eye(3)).max() < 0.25
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_chi2_helpers_match_scipy_stats(m):
+    # the reweighting mass, and h / n for the block sizes in use
+    alphas = [0.975] + [((n + m + 1) // 2) / n for n in (300, 512, 900, 1024)]
+    for alpha in alphas:
+        q = stats.chi2.ppf(alpha, df=m)
+        assert _chi2_quantile(alpha, m) == pytest.approx(q, rel=1e-15, abs=0)
+        assert _consistency_factor(alpha, m) == pytest.approx(alpha / stats.chi2.cdf(q, df=m + 2), rel=1e-15, abs=0)
