@@ -7,7 +7,7 @@ a window carrying a deterministic component should exceed it (H1, retain).
 import numpy as np
 
 from mvdenoise import CovarianceMatrix, ad_statistic, gof_test, mahalanobis_edf, make_reference
-from mvdenoise.denoiser import DenoiseConfig, calibrate_threshold
+from mvdenoise.denoiser import DenoiseConfig, calibrate_thresholds
 
 rng = np.random.default_rng(7)
 m = 3
@@ -18,7 +18,7 @@ dist = make_reference(m)
 
 window_len = 85
 cfg = DenoiseConfig(window_l=window_len - 1, calibration_reps=2000, p_fa=0.005, levels=1)
-threshold = calibrate_threshold(m, 256, cfg)
+threshold = calibrate_thresholds(m, 2 * 256, cfg)[0]
 print(f"calibrated threshold (p_fa=0.005): {threshold:.3f}")
 
 noise_window = rng.standard_normal((window_len, m)) @ chol.T

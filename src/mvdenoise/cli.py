@@ -2,9 +2,10 @@
 and execute benchmark matrices.
 
 CSV convention: one row per time index, one column per channel, optional single
-header row (auto-detected), UTF-8, '.' decimal separator.  Lines starting with
-'#' are comments; every emitted CSV carries a '# manifest: manifest.json'
-reference to the run manifest written next to it.
+header row (a first line that is not numeric and has one cell per column),
+UTF-8, '.' decimal separator.  Lines starting with '#' are comments; every
+emitted CSV carries a '# manifest: manifest.json' reference to the run
+manifest written next to it.
 
 Exit codes: 0 ok, 2 input parse failure, 3 invalid signal geometry, 64 usage.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .denoiser import _NULL_CACHE, DenoiseConfig, _precalibrate, baseline_universal, calibrate_threshold, denoise
+from .denoiser import _NULL_CACHE, DenoiseConfig, _precalibrate, baseline_universal, calibrate_thresholds, denoise
 from .gofstat import ad_statistic, gof_test, mahalanobis_edf, make_reference
 from .robustcov import mcd_estimate
 from .siggen import NoiseSpec, add_noise, make_signal, snr_db
@@ -60,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 def read_csv(path) -> np.ndarray:
     """Parse a CSV of one row per time index; auto-detects a single header row."""
     rows = []
-    header_skipped = False
+    header = None  # (line number, cell count) of a first line that is not numeric
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -73,11 +74,13 @@ def read_csv(path) -> np.ndarray:
         try:
             rows.append([float(c) for c in cells])
         except ValueError:
-            if not rows and not header_skipped:
-                header_skipped = True
+            if not rows and header is None:
+                header = (lineno, len(cells))
                 continue
             bad = next(i for i, c in enumerate(cells) if not _is_float(c))
             raise ParseFailure(f"{path}: non-numeric cell at row {lineno}, column {bad + 1}") from None
+        if len(rows) == 1 and header and header[1] != len(cells):
+            raise ParseFailure(f"{path}: row {header[0]} is not numeric, and as a header it would have {len(cells)} cells, not {header[1]}")
         if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
             raise ParseFailure(f"{path}: row {lineno} has {len(rows[-1])} columns, expected {len(rows[0])}")
     if not rows:
@@ -107,10 +110,10 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: DenoiseConfig, seed, input_digest: str, extra=None) -> None:
+def write_manifest(out_dir: Path, command: str, config: DenoiseConfig | None, seed, input_digest: str, extra=None) -> None:
     manifest = {
         "command": command,
-        "config": dataclasses.asdict(config),
+        "config": dataclasses.asdict(config) if config else None,
         "seed": seed,
         "input_digest": input_digest,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -121,24 +124,33 @@ def write_manifest(out_dir: Path, command: str, config: DenoiseConfig, seed, inp
     (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8")
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--filter", dest="filter_name", default="db8")
-    p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--window-l", type=int, default=None)
-    p.add_argument("--pfa", type=float, default=0.005)
-    p.add_argument("--calib-reps", type=int, default=1000)
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+# flag -> (DenoiseConfig field, type); a flag left out keeps the field's default
+_CONFIG_FLAGS = {
+    "--filter": ("filter_name", str),
+    "--levels": ("levels", int),
+    "--window-l": ("window_l", int),
+    "--pfa": ("p_fa", float),
+    "--calib-reps": ("calibration_reps", int),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, flags=tuple(_CONFIG_FLAGS)) -> None:
+    # every subcommand draws from --seed; its default 0 makes each run reproducible
+    p.add_argument("--seed", type=_seed, default=0)
+    for flag in flags:
+        field, kind = _CONFIG_FLAGS[flag]
+        p.add_argument(flag, dest=field, type=kind, default=argparse.SUPPRESS)
 
 
 def _config_from(args) -> DenoiseConfig:
-    cfg = DenoiseConfig(
-        filter_name=args.filter_name,
-        levels=args.levels,
-        window_l=args.window_l,
-        p_fa=args.pfa,
-        calibration_reps=args.calib_reps,
-        seed=args.seed,
-    )
+    given = {field: getattr(args, field) for field, _ in _CONFIG_FLAGS.values() if hasattr(args, field)}
+    cfg = DenoiseConfig(seed=args.seed, **given)
     try:
         cfg.validate()
     except ValueError as exc:
@@ -165,16 +177,15 @@ def _named_signal(name: str, n: int):
 
 
 def cmd_generate(args) -> int:
-    cfg = _config_from(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     signal = _named_signal(args.name, args.n)
     try:
-        spec = NoiseSpec(signal.n_channels, args.rho, _parse_snr_spec(args.snr), seed=args.seed)
+        spec = NoiseSpec(signal.n_channels, args.rho, _parse_snr_spec(args.snr))
         noisy, psi = add_noise(signal, spec, rng=np.random.default_rng(args.seed))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    write_manifest(out_dir, "generate", cfg, args.seed, _digest(signal.channels), extra={"signal": args.name, "n": args.n, "rho": args.rho, "snr": args.snr})
+    write_manifest(out_dir, "generate", None, args.seed, _digest(signal.channels), extra={"signal": args.name, "n": args.n, "rho": args.rho, "snr": args.snr})
     write_csv(out_dir / "clean.csv", signal.channels)
     write_csv(out_dir / "noisy.csv", noisy)
     write_csv(out_dir / "noise.csv", psi)
@@ -224,10 +235,11 @@ def cmd_gof(args) -> int:
     except ValueError as exc:
         raise GeometryError(str(exc)) from exc
     tau = ad_statistic(mahalanobis_edf(x, sigma), make_reference(m))
-    # the whole dataset is one window: the scale-1 block of 2n periodic white
-    # noise samples holds n iid rows, the covariance is fitted on those same
-    # rows, and a window wider than the block scores them all at once.
-    threshold = calibrate_threshold(m, n, dataclasses.replace(cfg, window_l=n + n % 2))
+    # the whole dataset is one window: one level of 2n periodic white noise
+    # samples holds n iid rows, the covariance is fitted on those same rows,
+    # and a window wider than the block scores them all at once.
+    key = dataclasses.replace(cfg, levels=1, window_l=n + n % 2)
+    threshold = float(calibrate_thresholds(m, 2 * n, key)[0])
     decision = gof_test(tau, threshold)
     if args.json:
         print(json.dumps({"tau": tau, "threshold": threshold, "decision": decision.value, "n": n, "channels": m}))
@@ -430,20 +442,20 @@ def build_parser() -> _Parser:
     g.add_argument("--snr", default="0")
     g.add_argument("--rho", type=float, default=0.0)
     g.add_argument("--out", default=".")
-    _add_shared_flags(g)
+    _add_config_flags(g, ())
     g.set_defaults(func=cmd_generate)
 
     d = sub.add_parser("denoise", help="denoise a CSV signal")
     d.add_argument("input")
     d.add_argument("--clean", default=None, help="optional clean reference CSV for SNR reporting")
     d.add_argument("--out", default=".")
-    _add_shared_flags(d)
+    _add_config_flags(d)
     d.set_defaults(func=cmd_denoise)
 
     f = sub.add_parser("gof", help="run the multivariate normality test on CSV rows")
     f.add_argument("input")
     f.add_argument("--json", action="store_true")
-    _add_shared_flags(f)
+    _add_config_flags(f, ("--pfa", "--calib-reps"))
     f.set_defaults(func=cmd_gof)
 
     b = sub.add_parser("benchmark", help="run a signals x SNRs x rhos x methods x seeds matrix")
@@ -454,7 +466,7 @@ def build_parser() -> _Parser:
     b.add_argument("--seeds", type=int, default=10, help="replications per cell")
     b.add_argument("--n", type=int, default=2048)
     b.add_argument("--out", default="benchmark_out")
-    _add_shared_flags(b)
+    _add_config_flags(b)
     b.set_defaults(func=cmd_benchmark)
     return parser
 

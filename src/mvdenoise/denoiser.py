@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -288,20 +288,6 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     mirrored rows its pad duplicates.
     """
     return _plugin_null(n_channels, n_samples, config)[0]
-
-
-def calibrate_threshold(n_channels: int, scale_len: int, config: DenoiseConfig) -> float:
-    """Threshold for a single scale whose detail block has ``scale_len`` rows.
-
-    Simulates noise sequences of length 2 * scale_len, decomposes one level,
-    and windows the detail block; under the noise model the coefficients of
-    every scale share one law, so a single level suffices distributionally.
-    The covariance is fitted on that same block (in-sample).
-    """
-    if scale_len < 2:
-        raise ValueError("scale_len must be >= 2")
-    single = replace(config, levels=1)
-    return float(calibrate_thresholds(n_channels, 2 * scale_len, single)[0])
 
 
 def _precalibrate(n_samples: int, n_channels: int, config: DenoiseConfig, map_fn=None) -> None:

@@ -211,7 +211,7 @@ def _nested_candidates(x: np.ndarray, h: int, rng) -> np.ndarray:
     return _best_candidates(_Concentrator(x[parts.ravel()], h_merged), np.concatenate(starts))[1]
 
 
-def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
+def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     """Minimum-covariance-determinant estimate of the noise covariance.
 
     Runs the concentration search on zero-mean coefficient rows, applies the
@@ -231,8 +231,6 @@ def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
         Coefficient rows, treated as zero-mean draws.
     rng : numpy.random.Generator
         Source for the random elemental subsets.
-    h : int, optional
-        Subset size; defaults to floor((n + M + 1) / 2).
     """
     x = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     n, m = x.shape
@@ -246,9 +244,7 @@ def mcd_estimate(coeffs, rng, h: int | None = None) -> CovarianceMatrix:
     if w_full[0] <= 1e-12 * max(w_full[-1], 1e-300):
         raise SingularCovarianceError("coefficient block is rank deficient")
 
-    if h is None:
-        h = (n + m + 1) // 2
-    h = int(min(max(h, m + 1), n))
+    h = (n + m + 1) // 2
     conc = _Concentrator(x, h)
     if n > 2 * _SUBSET_ROWS:
         # no full-block subsets yet: empty ones, which no step reproduces

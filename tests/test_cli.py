@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvdenoise import denoiser
-from mvdenoise.cli import main, read_csv
+from mvdenoise.cli import build_parser, main, read_csv
 from mvdenoise.siggen import snr_db
 
 pytestmark = pytest.mark.filterwarnings("ignore:calibration_reps")
@@ -104,6 +104,15 @@ def test_csv_header_autodetect(tmp_path):
     data = read_csv(p)
     assert data.shape == (2, 2)
     assert data[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("first", ["1.5,2.5,", "1.5;2.5"], ids=["trailing-comma", "semicolon"])
+def test_csv_malformed_first_row_is_parse_failure(tmp_path, capsys, first):
+    # a first line that does not parse is a header only if it is as wide as the data
+    p = tmp_path / "m.csv"
+    p.write_text(f"{first}\n3,4\n5,6\n")
+    assert run_cli(["gof", str(p), *FAST]) == 2
+    assert "row 1 is not numeric" in capsys.readouterr().err
 
 
 def test_csv_ragged_rows_rejected(tmp_path):
@@ -320,15 +329,48 @@ def test_cli_usage_error_exit_code():
     assert main(["gof", "x.csv", "--sigma-source", "mcd"]) == 64  # no such flag: gof always fits the MCD
 
 
-@pytest.mark.parametrize("command", ["generate", "denoise", "gof", "benchmark"])
-def test_unknown_filter_is_usage_error(tmp_path, capsys, command):
+def subcommand_argv(tmp_path, command):
     p = tmp_path / "x.csv"
     np.savetxt(p, np.random.default_rng(6).standard_normal((256, 2)), delimiter=",")
-    argv = {
+    return {
         "generate": ["generate", "heavydoppler3", "--out", str(tmp_path / "g")],
         "denoise": ["denoise", str(p), "--out", str(tmp_path / "d"), *FAST],
         "gof": ["gof", str(p), *FAST],
         "benchmark": bench_args(tmp_path / "b", seeds=1),
     }[command]
-    assert run_cli([*argv, "--filter", "xyz"]) == 64
-    assert "unknown wavelet filter 'xyz'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "denoise", "gof", "benchmark"])
+def test_unknown_filter_is_usage_error(tmp_path, capsys, command):
+    assert run_cli([*subcommand_argv(tmp_path, command), "--filter", "xyz"]) == 64
+    err = capsys.readouterr().err
+    if command in ("denoise", "benchmark"):
+        assert "unknown wavelet filter 'xyz'" in err
+    else:  # generate and gof read no filter, so they take no --filter
+        assert "unrecognized arguments: --filter xyz" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "denoise", "gof", "benchmark"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    assert run_cli([*subcommand_argv(tmp_path, command), "--seed", "-1"]) == 64
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_the_settings_it_reads(tmp_path):
+    config = {"--seed", "--filter", "--levels", "--window-l", "--pfa", "--calib-reps"}
+    expected = {
+        "generate": {"--n", "--snr", "--rho", "--out", "--seed"},
+        "denoise": {"--clean", "--out", *config},
+        "gof": {"--json", "--seed", "--pfa", "--calib-reps"},
+        "benchmark": {"--signals", "--snrs", "--rhos", "--methods", "--seeds", "--n", "--out", *config},
+    }
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    options = {
+        name: {s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, sp in subparsers.items()
+    }
+    assert options == expected
+    p = tmp_path / "x.csv"
+    for argv in (["gof", str(p), "--levels", "3"], ["gof", str(p), "--window-l", "20"],
+                 ["gof", str(p), "--filter", "db8"], ["generate", "heavydoppler3", "--pfa", "0.01"]):
+        assert run_cli(argv) == 64

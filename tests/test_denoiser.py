@@ -9,7 +9,6 @@ from mvdenoise import denoiser, gofstat
 from mvdenoise.denoiser import (
     DenoiseConfig,
     baseline_universal,
-    calibrate_threshold,
     calibrate_thresholds,
     denoise,
     _NULL_CACHE,
@@ -135,7 +134,7 @@ def test_block_tau_memory_is_bounded_by_its_chunk():
 
 def test_threshold_at_half_pfa_is_null_median():
     cfg = DenoiseConfig(p_fa=0.49999, calibration_reps=400, window_l=56, levels=1)
-    t_med = calibrate_threshold(2, 256, cfg)
+    t_med = calibrate_thresholds(2, 2 * 256, cfg)[0]
     # median of the null statistic for 57-point windows is near the asymptotic
     # null median (~0.77); generous band, the point is the quantile semantics
     assert 0.5 < t_med < 1.2
@@ -145,7 +144,7 @@ def test_threshold_monotone_in_pfa():
     ts = []
     for p_fa in (0.3, 0.1, 0.01):
         cfg = DenoiseConfig(p_fa=p_fa, calibration_reps=300, window_l=56, levels=1)
-        ts.append(calibrate_threshold(2, 256, cfg))
+        ts.append(calibrate_thresholds(2, 2 * 256, cfg)[0])
     assert ts[0] < ts[1] < ts[2]
 
 

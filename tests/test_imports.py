@@ -1,5 +1,6 @@
-"""Every name a package module imports is used by that module, and the
-command line does not import scipy.stats.
+"""Every name a package module imports is used by that module, the
+command line does not import scipy.stats, and every program name the
+benchmark's tracer reaches into exists.
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must occur as a name
@@ -8,6 +9,7 @@ reads, and ``from __future__`` imports bind nothing, so both are skipped.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -57,3 +59,19 @@ def test_cli_does_not_import_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_names_the_benchmark_tracer_uses_exist():
+    # perfbench/tracing.py wraps and calls these by name; read, never imported
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets)
+    )
+    needed = [(attr, module) for attr, modules in layers.values() for module in modules]
+    needed += [("_benchmark_cell", "cli"), ("read_csv", "cli"), ("write_csv", "cli"), ("calibrate_thresholds", "denoiser"),
+               ("make_reference", "gofstat"), ("reference_cdf", "gofstat")]
+    missing = [f"{module}.{attr}" for attr, module in needed if not hasattr(importlib.import_module(f"mvdenoise.{module}"), attr)]
+    assert missing == []
