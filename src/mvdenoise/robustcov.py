@@ -9,11 +9,19 @@ subsets of 300 rows, and the best candidates of each are C-stepped on the
 merged subsets before the full refinement.  Because detail coefficients are
 zero-mean under the additive Gaussian noise model, all scatter matrices here
 are taken about zero: no location is estimated.
+
+The number of random starts follows the same paper's rule: with a fraction
+eps of outlying rows, m random (M+1)-row seeds include at least one clean
+seed with probability 1 - (1 - (1 - eps)^(M+1))^m.  The search draws the
+smallest m that makes this at least 0.99 at eps = 0.5, capped at the paper's
+general-dimension budget of 500 (:func:`_n_starts`): 17, 35, 72, 146 and
+293 starts at M = 1..5, and 500 from M = 6 on.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,9 +29,12 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-# FAST-MCD search budget: random (M+1)-point seeds, two concentration steps
-# each, then the best candidates are iterated to a fixed point.
-_N_TRIALS = 500
+# FAST-MCD search budget: random (M+1)-point seeds (see _n_starts), two
+# concentration steps each, then the best candidates are iterated to a fixed
+# point.
+_OUTLIER_FRACTION = 0.5
+_START_CONFIDENCE = 0.99
+_MAX_STARTS = 500
 _N_SHORT_CSTEPS = 2
 _N_KEEP = 10
 # Blocks of more than 2 * _SUBSET_ROWS rows run the seeds on up to
@@ -118,6 +129,15 @@ def _chi2_quantile(alpha: float, m: int) -> float:
     return float(2.0 * special.gammaincinv(m / 2.0, alpha))
 
 
+def _n_starts(m: int) -> int:
+    """Random starts for M channels: the smallest count s with
+    1 - (1 - (1 - eps)^(M+1))^s >= 0.99, capped at 500 (Rousseeuw & Van
+    Driessen 1999)."""
+    clean_seed = (1.0 - _OUTLIER_FRACTION) ** (m + 1)
+    s = math.ceil(math.log(1.0 - _START_CONFIDENCE) / math.log1p(-clean_seed))
+    return min(s, _MAX_STARTS)
+
+
 def _elemental_subsets(rng, n: int, size: int, count: int) -> np.ndarray:
     # `count` uniformly random `size`-subsets of range(n): iid index tuples,
     # redrawing every tuple that repeats an index.
@@ -193,20 +213,23 @@ def _nested_candidates(x: np.ndarray, h: int, rng) -> np.ndarray:
     """Start scatters for a large block from the nested search.
 
     Rousseeuw & Van Driessen (1999): the rows are split into k disjoint
-    random subsets of _SUBSET_ROWS rows; each runs 1/k of the seeds with its
-    h scaled to the subset, and keeps its best candidates; those candidates
-    are C-stepped on the merged subsets and the best of them returned.  The
-    split is drawn from ``rng`` alone, never from the data, so the estimate
-    stays affine equivariant.
+    random subsets of _SUBSET_ROWS rows; each runs ceil(s / k) of the
+    s = :func:`_n_starts` seeds, so that together they still meet the start
+    rule, with its h scaled to the subset, and keeps its best candidates;
+    those candidates are C-stepped on the merged subsets and the best of
+    them returned.  The split, like the seed count, is drawn from ``rng``
+    and M alone, never from the data, so the estimate stays affine
+    equivariant.
     """
     n = x.shape[0]
     k = min(_MAX_SUBSETS, n // _SUBSET_ROWS)
     parts = rng.permutation(n)[: k * _SUBSET_ROWS].reshape(k, _SUBSET_ROWS)
     h_sub = -(-_SUBSET_ROWS * h // n)  # ceil(h * subset rows / n)
+    per_part = -(-_n_starts(x.shape[1]) // k)
     starts = []
     for rows in parts:
         part = x[rows]
-        starts.append(_best_candidates(_Concentrator(part, h_sub), _elemental_scatters(part, rng, _N_TRIALS // k))[1])
+        starts.append(_best_candidates(_Concentrator(part, h_sub), _elemental_scatters(part, rng, per_part))[1])
     h_merged = -(-k * _SUBSET_ROWS * h // n)
     return _best_candidates(_Concentrator(x[parts.ravel()], h_merged), np.concatenate(starts))[1]
 
@@ -215,15 +238,19 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     """Minimum-covariance-determinant estimate of the noise covariance.
 
     Runs the concentration search on zero-mean coefficient rows, applies the
-    chi-square consistency correction, then one reweighting step.  Above
-    600 rows the search starts from the nested subsets of
+    chi-square consistency correction, then one reweighting step.  The
+    search draws :func:`_n_starts` random (M+1)-row seeds, the fewest that
+    include an outlier-free one with probability 0.99 when half the rows are
+    outlying (Rousseeuw & Van Driessen 1999): 35, 72 and 146 at M = 2, 3
+    and 4.  Above 600 rows the search starts from the nested subsets of
     :func:`_nested_candidates`; up to 600 rows every seed is C-stepped on the
     whole block.  The estimate is consistent under pure Gaussian data but not
     unbiased at finite size: at 1024 rows the mean of tr(S^{-1} S_hat) / M
-    is 0.988 (M = 2) and 0.989 (M = 3), each +-0.001 over 1500 fits, i.e.
-    about 1% low.  The calibration in :mod:`mvdenoise.denoiser` simulates
-    this estimator itself, so the bias is part of the null law the
-    thresholds are taken from.  Deterministic for a given ``rng`` state.
+    is 0.988 (M = 2), 0.991 (M = 3) and 0.990 (M = 4), each +-0.001 over
+    1500 fits, i.e. about 1% low, as with a fixed 500 starts.  The
+    calibration in :mod:`mvdenoise.denoiser` simulates this estimator
+    itself, so the bias is part of the null law the thresholds are taken
+    from.  Deterministic for a given ``rng`` state.
 
     Parameters
     ----------
@@ -251,7 +278,7 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
         scatters = _nested_candidates(x, h, rng)
         subsets = np.zeros((scatters.shape[0], n), dtype=bool)
     else:
-        subsets, scatters = _best_candidates(conc, _elemental_scatters(x, rng, _N_TRIALS))
+        subsets, scatters = _best_candidates(conc, _elemental_scatters(x, rng, _n_starts(m)))
 
     # Iterate the best candidates until every subset is a fixed point.  Only
     # those whose subset moved in the last step are stepped again: a subset

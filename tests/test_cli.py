@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mvdenoise import denoiser
-from mvdenoise.cli import build_parser, main, read_csv
+from mvdenoise.cli import MANIFEST_NAME, build_parser, main, read_csv
 from mvdenoise.siggen import snr_db
 
 pytestmark = pytest.mark.filterwarnings("ignore:calibration_reps")
@@ -96,6 +96,20 @@ def test_denoise_too_short_signal(tmp_path):
     small.write_text("\n".join(f"{v},{v}" for v in np.arange(20.0)) + "\n")
     rc = run_cli(["denoise", str(small), "--out", str(tmp_path), *FAST])
     assert rc == 3
+
+
+@pytest.mark.parametrize("clean_shape", [(512, 3), (256, 4)], ids=["rows", "channels"])
+def test_denoise_clean_shape_mismatch_fails_before_calibration(tmp_path, monkeypatch, capsys, clean_shape):
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    x, clean = tmp_path / "x.csv", tmp_path / "clean.csv"
+    np.savetxt(x, np.random.default_rng(20).standard_normal((256, 3)), delimiter=",")
+    np.savetxt(clean, np.ones(clean_shape), delimiter=",")
+    out = tmp_path / "den"
+    # a replication count no other test uses, so the memo holds no entry for it
+    rc = run_cli(["denoise", str(x), "--clean", str(clean), "--out", str(out), "--calib-reps", "103"])
+    assert rc == 3
+    assert "clean and estimate must have equal shapes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_header_autodetect(tmp_path):
@@ -272,6 +286,38 @@ def test_benchmark_baseline_only_never_calibrates(tmp_path, monkeypatch):
     assert len(rows) == 2 * 3 and all(r.endswith(",ok") for r in rows)
     with pytest.raises(AssertionError, match="calibration entered"):
         run_cli([*bench_args(tmp_path / "m", seeds=1, methods="mgwd"), "--calib-reps", "101"])
+
+
+def test_rerun_writes_new_files_and_leaves_links_alone(tmp_path):
+    # a rerun into the same --out removes each output and creates it again:
+    # a hard link to the first run's file keeps its bytes, and a symlinked
+    # output is replaced rather than written through
+    den, bench = tmp_path / "den", tmp_path / "bench"
+    for seed in ("1", "2"):
+        assert run_cli(["generate", "heavydoppler3", "--n", "512", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+    runs = {
+        # the seed picks the input too: at 512 rows the masks, and so the
+        # estimate, do not change with the covariance seed alone
+        den / "denoised.csv": lambda seed: ["denoise", str(tmp_path / seed / "noisy.csv"), "--out", str(den), "--seed", seed, *FAST],
+        # the last --seed given wins
+        bench / "results.csv": lambda seed: [*bench_args(bench, seeds=1, methods="baseline"), "--seed", seed],
+    }
+    for output, argv in runs.items():
+        assert run_cli(argv("1")) == 0
+        first = output.read_bytes()
+        linked = tmp_path / f"linked_{output.name}"
+        os.link(output, linked)
+        target = tmp_path / f"target_{output.parent.name}"
+        target.write_text("untouched\n")
+        (output.parent / MANIFEST_NAME).unlink()
+        (output.parent / MANIFEST_NAME).symlink_to(target)
+
+        assert run_cli(argv("2")) == 0
+        assert linked.read_bytes() == first
+        assert output.read_bytes() != first
+        assert target.read_text() == "untouched\n"
+        manifest = output.parent / MANIFEST_NAME
+        assert not manifest.is_symlink() and json.loads(manifest.read_text())["seed"] == 2
 
 
 def test_benchmark_uncalibratable_geometry_gives_error_rows(tmp_path):

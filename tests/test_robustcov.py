@@ -7,6 +7,7 @@ from mvdenoise.robustcov import (
     SingularCovarianceError,
     _chi2_quantile,
     _consistency_factor,
+    _n_starts,
     mcd_estimate,
     sample_covariance,
 )
@@ -180,6 +181,49 @@ def test_mcd_nested_route_resists_shifted_rows():
     x[rng.choice(2000, size=400, replace=False)] += 8.0 / np.sqrt(3.0)
     est = mcd_estimate(x, np.random.default_rng(15))
     assert np.abs(est.sigma - np.eye(3)).max() < 0.25
+
+
+@pytest.mark.parametrize("n", [512, 2000], ids=["elemental", "nested"])
+def test_mcd_resists_forty_percent_shifted_rows_at_four_channels(n):
+    # 40 % of the rows shifted by 8 sigma along a common direction, where the
+    # start rule gives 146 starts instead of 500; with 500 starts the error
+    # was 0.151 (512 rows) and 0.086 (2000 rows), the same as now
+    rng = np.random.default_rng([16, n, 0])
+    x = rng.standard_normal((n, 4))
+    x[rng.choice(n, size=int(0.4 * n), replace=False)] += 8.0 / np.sqrt(4.0)
+    est = mcd_estimate(x, np.random.default_rng([17, 0]))
+    assert np.abs(est.sigma - np.eye(4)).max() < 0.3
+
+
+def test_start_count_is_the_smallest_that_meets_the_rule():
+    # 1 - (1 - (1 - eps)^(M+1))^s >= 0.99 at eps = 0.5, capped at 500
+    for m in range(1, 9):
+        clean_seed = 0.5 ** (m + 1)
+        s = 1
+        while 1.0 - (1.0 - clean_seed) ** s < 0.99:
+            s += 1
+        assert _n_starts(m) == min(s, 500)
+    assert [_n_starts(m) for m in range(1, 9)] == [17, 35, 72, 146, 293, 500, 500, 500]
+
+
+@pytest.mark.parametrize("n", [700, 1024, 2000])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_nested_subsets_share_at_least_the_rule_starts(monkeypatch, n, m):
+    # ceil(s / k) starts per subset: floor division would give 33 < 35 at M = 2
+    from mvdenoise import robustcov
+
+    counts = []
+    draw = robustcov._elemental_scatters
+
+    def counted(x, rng, count):
+        counts.append(count)
+        return draw(x, rng, count)
+
+    monkeypatch.setattr(robustcov, "_elemental_scatters", counted)
+    mcd_estimate(np.random.default_rng([18, n, m]).standard_normal((n, m)), np.random.default_rng(19))
+    k = min(5, n // 300)
+    assert counts == [-(-_n_starts(m) // k)] * k
+    assert sum(counts) >= _n_starts(m)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
