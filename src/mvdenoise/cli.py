@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .denoiser import _NULL_CACHE, DenoiseConfig, _precalibrate, baseline_universal, calibrate_thresholds, denoise
+from .denoiser import _NULL_CACHE, DenoiseConfig, _plugin_null, baseline_universal, calibrate_thresholds, denoise
 from .gofstat import ad_statistic, gof_test, mahalanobis_edf, make_reference
 from .robustcov import mcd_estimate
 from .siggen import NoiseSpec, add_noise, make_signal, snr_db
@@ -382,20 +382,19 @@ def _worker_count() -> int:
     return workers
 
 
-def _run_matrix(cells, channel_counts, n, cfg, pool_map=None):
+def _run_matrix(cells, channel_counts, n, cfg, pool_map=map):
     """Calibrate each channel count's key once, then run the cells.
 
-    ``pool_map`` (a process pool's ``map``) spreads the calibration batches,
-    then the cells, over the pool's workers; without it both run here.
+    ``pool_map`` (builtin ``map``, or a process pool's ``map``) runs the
+    calibration batches, then the cells.
     """
     for m in channel_counts:
         try:
-            _precalibrate(n, m, cfg, pool_map)
+            _plugin_null(m, n, cfg, pool_map)
         except ValueError:
             pass  # denoise rejects this geometry: its cells record the error
     null_memo = dict(_NULL_CACHE)
-    cell_map = pool_map or map
-    return [row for rows in cell_map(_benchmark_cell, [(*cell, null_memo) for cell in cells]) for row in rows]
+    return [row for rows in pool_map(_benchmark_cell, [(*cell, null_memo) for cell in cells]) for row in rows]
 
 
 def _aggregate_rows(results):

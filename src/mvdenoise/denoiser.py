@@ -22,15 +22,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg as sla
 
 from . import gofstat
-from .gofstat import ReferenceDistribution, make_reference, reference_cdf
+from .gofstat import make_reference, reference_cdf
 from .robustcov import CovarianceMatrix, SingularCovarianceError, mcd_estimate
 from .siggen import average_snr_db, snr_db
-from .wavelet import FILTER_NAMES, dwt_forward, dwt_inverse, get_filter
+from .wavelet import FILTER_NAMES, dwt_forward, dwt_inverse, expected_block_lengths, get_filter
 
 # Replications per calibration batch: reps * N * (window + 1) / 2 stays under
 # this.  The windows are scored in chunks of _SCORE_CHUNK_VALUES, so it bounds
 # only a batch's noise and transform arrays (reps * N * M floats each); its
-# value fixes the batches, and so the benchmark matrix's pool tasks.
+# value fixes the batches every calibration maps, in-process or over workers.
 _CAL_CHUNK_VALUES = 6_000_000
 # floats sorted at once by the window scorer (512 KB, an L2-sized buffer)
 _SCORE_CHUNK_VALUES = 1 << 16
@@ -105,11 +105,6 @@ def _reflected_windows(v: np.ndarray, window: int) -> np.ndarray:
     return sliding_window_view(padded, window, axis=-1)
 
 
-def _block_logs(dist: ReferenceDistribution, y: np.ndarray):
-    f = reference_cdf(dist, y)
-    return gofstat.clamped_log_cdf(f)
-
-
 def _tau_from_logs(lf: np.ndarray, l1f: np.ndarray, window: int) -> np.ndarray:
     # lf, l1f: (..., B) per-coefficient ln F and ln(1-F) of one or more
     # blocks; window is the full window size (odd).  Returns per-coefficient
@@ -150,10 +145,25 @@ def _tau_from_logs(lf: np.ndarray, l1f: np.ndarray, window: int) -> np.ndarray:
     return -w - s / w
 
 
-def _block_tau(y_block: np.ndarray, dist: ReferenceDistribution, window: int) -> np.ndarray:
-    lf, l1f = _block_logs(dist, np.atleast_2d(y_block))
-    out = _tau_from_logs(lf, l1f, window)
-    return out[0] if np.asarray(y_block).ndim == 1 else out
+def _scale_taus(details, sigmas, window: int) -> list:
+    """Per-coefficient window statistic of every scale, for c signals at once.
+
+    ``details`` holds one (B, c, M) block per scale and ``sigmas`` the c
+    noise covariance estimates; the result is one (c, B) array per scale.
+    ``denoise`` scores its input through here with c = 1, and the null
+    through here with c replications, so the two compute one statistic.
+    """
+    m = details[0].shape[-1]
+    dist = make_reference(m)
+    # v -> v^T sigma^{-1} v evaluated as |ichol v|^2, one factor per signal
+    ichol = np.stack([sla.solve_triangular(s.chol, np.eye(m), lower=True) for s in sigmas])
+    taus = []
+    for d in details:
+        z = np.einsum("cij,bcj->cbi", ichol, d)
+        lf, l1f = gofstat.clamped_log_cdf(reference_cdf(dist, np.einsum("cbi,cbi->cb", z, z)))
+        del z  # only the (c, B) logs stay alive while the windows are scored
+        taus.append(_tau_from_logs(lf, l1f, window + 1))
+    return taus
 
 
 def _batch_reps(m: int, n_samples: int, config: DenoiseConfig) -> int:
@@ -165,55 +175,34 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     """Simulate the statistic ``denoise`` computes on pure noise, per scale.
 
     Each replication draws ``n_samples`` rows of white noise, decomposes them
-    (``dwt_forward`` pads them as it pads an input of that length), estimates
-    the noise covariance from its own finest-scale block with the estimator
-    ``denoise`` uses, whitens every scale with that estimate and scores the
-    windows.  The estimate is in-sample at scale 1 and out-of-sample
-    elsewhere, exactly as on real data.  The MCD estimate about zero is
-    affine equivariant and the transform acts channel-wise, so the resulting
-    law is the same for every noise covariance: drawing from N(0, I) loses
-    nothing.
+    as ``denoise`` decomposes an input of that length (padding included, and
+    raising the same ``ValueError`` for a geometry it rejects), estimates the
+    noise covariance from its own finest-scale block with the estimator
+    ``denoise`` uses, and scores every scale through :func:`_scale_taus`.
+    The estimate is in-sample at scale 1 and out-of-sample elsewhere,
+    exactly as on real data.  The MCD estimate about zero is affine
+    equivariant and the transform acts channel-wise, so the resulting law is
+    the same for every noise covariance: drawing from N(0, I) loses nothing.
 
-    Runs one replication per entry of ``child_seeds``, in batches of
-    :func:`_batch_reps`, and returns one (replications, values per
-    replication) array per scale.  Shrunk blocks (shorter than the window)
-    have one shared window per replication and contribute a single value
-    each.  Replication r draws from the generator seeded by ``child_seeds[r]``
-    alone, but the rounding of its statistic depends on which replications
-    share its batch (values moved by up to 3e-13 when a batch of 12 was
-    split 6+6 or 12x1), so pools of slices of the seeds concatenate to the
-    pool of the whole vector bit for bit only when the slices are cut at
-    batch boundaries.  The windows are scored in double precision by the
-    kernel ``denoise`` uses.
+    Scores one replication per entry of ``child_seeds``, all as one batch,
+    and returns one (replications, values per replication) array per scale.
+    A block no wider than the window is one shared window per replication:
+    it contributes a single value each.  Replication r draws from the
+    generator seeded by ``child_seeds[r]`` alone, but the rounding of its
+    statistic depends on which replications share its batch: at 2 to 4
+    channels, values moved by up to 1.5e-12 when a batch of 22 to 24 was
+    scored one replication at a time, and by up to 1.1e-13 when it was split
+    in two.  So :func:`_plugin_null` always cuts the seeds at the same batch
+    boundaries.
     """
-    reps = len(child_seeds)
+    gens = [np.random.default_rng(int(s)) for s in child_seeds]
+    c = len(gens)
+    noise = np.stack([g.standard_normal((n_samples, m)) for g in gens], axis=1)
+    dec = _decompose(noise.reshape(n_samples, c * m), config)
+    details = [d.reshape(d.shape[0], c, m) for d in dec.details]
+    sigmas = [_noise_covariance(details[0][:, j], g) for j, g in enumerate(gens)]
     window = config.window_size(m)
-    dist = make_reference(m)
-    filt = get_filter(config.filter_name)
-    chunk = _batch_reps(m, n_samples, config)
-    pools = None
-
-    for start in range(0, reps, chunk):
-        gens = [np.random.default_rng(int(s)) for s in child_seeds[start : start + chunk]]
-        c = len(gens)
-        noise = np.stack([g.standard_normal((n_samples, m)) for g in gens], axis=1)
-        dec = dwt_forward(noise.reshape(n_samples, c * m), filt, config.levels)
-        details = [d.reshape(d.shape[0], c, m) for d in dec.details]
-        if pools is None:
-            # a shrunk block (shorter than the window) has one shared window
-            # per realisation: it pools a single value each
-            pools = [np.empty((reps, d.shape[0] if d.shape[0] > window else 1)) for d in details]
-        # v -> v^T sigma_r^{-1} v evaluated as |ichol_r v|^2, one factor per replication
-        ichol = np.empty((c, m, m))
-        for j, g in enumerate(gens):
-            chol = _noise_covariance(details[0][:, j], g).chol
-            ichol[j] = sla.solve_triangular(chol, np.eye(m), lower=True)
-        for pool, d in zip(pools, details):
-            z = np.einsum("cij,bcj->cbi", ichol, d)
-            y = np.einsum("cbi,cbi->cb", z, z)
-            tau = _tau_from_logs(*_block_logs(dist, y), window + 1)
-            pool[start : start + c] = tau[:, : pool.shape[1]]
-    return pools
+    return [t if t.shape[1] > window else t[:, :1] for t in _scale_taus(details, sigmas, window)]
 
 
 # Calibration draws from its own stream, never from the caller's rng, so the
@@ -223,45 +212,41 @@ _CALIBRATION_SEED = 0
 _NULL_CACHE: dict = {}
 
 
-def _plugin_null(m: int, n_samples: int, config: DenoiseConfig, map_fn=None):
+def _plugin_null(m: int, n_samples: int, config: DenoiseConfig, map_fn=map):
     """Thresholds and null retention spread for one calibration key, memoised.
 
     The null law depends on the geometry and test settings only, never on
     the data or its noise covariance, so one Monte Carlo pool per key serves
-    every call.  By default the replications run here in one pass.  Given
-    ``map_fn`` (a process pool's ``map``, say), they run one batch (a
-    contiguous slice of the child seeds) per call through it.  Every batch is
-    scored as in the single pass, so the result is the same either way.  The
-    single pass stays the default because each call frees its working
-    buffers and the next faults them in again: one call per batch took up
-    to 1.7 times the page faults, and 2 to 10 % longer, at M=4, N=1024.
+    every call.  The child seeds are cut into batches of :func:`_batch_reps`
+    and ``map_fn`` (builtin ``map`` here, a process pool's ``map`` in a
+    benchmark matrix) runs :func:`_null_tau_pool` on each; every batch is
+    written straight into its rows of the per-scale pools.  The batches are
+    the same whoever maps them, so the result is too; other batch cuts would
+    move the pooled statistics by up to 1.5e-12 (see :func:`_null_tau_pool`).
+    Raises ``ValueError`` where ``denoise`` rejects the geometry, before any
+    covariance fit.
     """
     config.validate()
     reps = config.calibration_reps
     if reps < 10.0 / config.p_fa:
         warnings.warn(
             f"calibration_reps={reps} is below 10/p_fa={10.0 / config.p_fa:.0f}; "
-            "threshold quantile resolution relies on window pooling",
+            "threshold quantile resolution is coarse",
             RuntimeWarning,
         )
-    key = (
-        m,
-        n_samples,
-        config.filter_name,
-        config.levels,
-        config.window_size(m),
-        config.p_fa,
-        reps,
-    )
+    window = config.window_size(m)
+    key = (m, n_samples, config.filter_name, config.levels, window, config.p_fa, reps)
     if key not in _NULL_CACHE:
         child_seeds = np.random.default_rng(_CALIBRATION_SEED).integers(np.iinfo(np.int64).max, size=reps)
-        if map_fn is None:
-            pools = _null_tau_pool(m, n_samples, config, child_seeds)
-        else:
-            batch = _batch_reps(m, n_samples, config)
-            batches = [child_seeds[i : i + batch] for i in range(0, reps, batch)]
-            parts = map_fn(partial(_null_tau_pool, m, n_samples, config), batches)
-            pools = [np.concatenate(scale) for scale in zip(*parts)]
+        pools = [np.empty((reps, b if b > window else 1)) for b in expected_block_lengths(n_samples, config.levels)]
+        batch = _batch_reps(m, n_samples, config)
+        batches = np.split(child_seeds, range(batch, reps, batch))
+        start = 0
+        for taus in map_fn(partial(_null_tau_pool, m, n_samples, config), batches):
+            for pool, tau in zip(pools, taus):
+                pool[start : start + len(tau)] = tau
+            start += len(tau)
+            del taus, tau  # free this batch's statistics before the next batch runs
         thresholds = np.array([float(np.quantile(p, 1.0 - config.p_fa)) for p in pools])
         # spread across replications of the fraction of a block kept at T_k
         sd = np.array([float((p >= t).mean(axis=1).std(ddof=1)) for p, t in zip(pools, thresholds)])
@@ -285,19 +270,10 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     channel count, the length and the configuration; they are memoised per
     key.  Each replication is padded by ``dwt_forward`` exactly as an input
     of ``n_samples`` rows is, so a non-dyadic length is simulated with the
-    mirrored rows its pad duplicates.
+    mirrored rows its pad duplicates, and a geometry ``denoise`` rejects
+    raises the same ``ValueError`` before any replication is scored.
     """
     return _plugin_null(n_channels, n_samples, config)[0]
-
-
-def _precalibrate(n_samples: int, n_channels: int, config: DenoiseConfig, map_fn=None) -> None:
-    """Fill the memo entry ``denoise`` reads for an (n_samples, n_channels) input.
-
-    Raises ``ValueError`` where ``denoise`` would reject that geometry, before
-    any replication runs.  ``map_fn`` is as in :func:`_plugin_null`.
-    """
-    _decompose(np.zeros((n_samples, n_channels)), config)
-    _plugin_null(n_channels, n_samples, config, map_fn)
 
 
 def _decompose(x: np.ndarray, config: DenoiseConfig):
@@ -342,24 +318,15 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None, clean=None):
         rng = np.random.default_rng(config.seed)
 
     dec = _decompose(x, config)
-    window = config.window_size(m)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sigma = _noise_covariance(dec.details[0], rng)
         thresholds, null_sd = _plugin_null(m, n, config)
-    dist = make_reference(m)
 
-    taus = []
-    masks = []
-    new_details = []
-    for k, d in enumerate(dec.details):
-        y = sigma.quadratic_form(d)
-        tau = _block_tau(y, dist, window + 1)
-        keep = tau >= thresholds[k]
-        taus.append(tau)
-        masks.append(keep)
-        new_details.append(d * keep[:, None])
+    taus = [t[0] for t in _scale_taus([d[:, None] for d in dec.details], [sigma], config.window_size(m))]
+    masks = [tau >= t for tau, t in zip(taus, thresholds)]
+    new_details = [d * keep[:, None] for d, keep in zip(dec.details, masks)]
 
     estimate = dwt_inverse(dec.copy_with_details(new_details))
     report = DenoiseReport(

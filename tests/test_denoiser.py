@@ -15,8 +15,9 @@ from mvdenoise.denoiser import (
     _batch_reps,
     _null_tau_pool,
     _plugin_null,
-    _block_tau,
     _reflected_windows,
+    _scale_taus,
+    _tau_from_logs,
 )
 from mvdenoise.robustcov import CovarianceMatrix
 from mvdenoise.siggen import NoiseSpec, add_noise, average_snr_db, make_signal
@@ -32,6 +33,11 @@ def equicorr(m, rho):
 
 
 # ---------------------------------------------------------------- windows
+
+
+def block_tau(y, dist, window):
+    # per-coefficient tau of one block of squared distances, by the kernel denoise uses
+    return _tau_from_logs(*gofstat.clamped_log_cdf(gofstat.reference_cdf(dist, y)), window)
 
 
 def reflected_window(y, i, half):
@@ -50,7 +56,7 @@ def test_sliding_window_shrinks_to_block():
     # a block shorter than the window is scored as one shared window
     y = np.random.default_rng(1).chisquare(2, size=3)
     dist = gofstat.make_reference(2)
-    tau = _block_tau(y, dist, 11)
+    tau = block_tau(y, dist, 11)
     ref = gofstat.ad_statistic(gofstat.MahalanobisEdf(np.sort(y), 3), dist)
     assert tau.shape == (3,)
     assert np.abs(tau - ref).max() < 1e-12
@@ -75,7 +81,7 @@ def test_vectorized_tau_matches_scalar_reference():
     dist = gofstat.make_reference(3)
     block = rng.standard_normal((160, 3)) @ np.linalg.cholesky(cov.sigma).T
     y = cov.quadratic_form(block)
-    tau_vec = _block_tau(y, dist, 85)
+    tau_vec = _scale_taus([block[:, None]], [cov], 84)[0][0]
     for i in range(0, 160, 17):
         edf = gofstat.MahalanobisEdf(np.sort(reflected_window(y, i, 42)), 85)
         assert abs(tau_vec[i] - gofstat.ad_statistic(edf, dist)) < 1e-9
@@ -94,7 +100,7 @@ def test_block_tau_matches_scalar_statistic_everywhere(m, block_len, half, seed)
     window = 2 * half + 1
     y = np.random.default_rng(seed).chisquare(m, size=block_len)
     dist = gofstat.make_reference(m)
-    tau = _block_tau(y, dist, window)
+    tau = block_tau(y, dist, window)
     for i in range(block_len):
         win = y if block_len < window else reflected_window(y, i, half)
         ref = gofstat.ad_statistic(gofstat.MahalanobisEdf(np.sort(win), win.size), dist)
@@ -108,21 +114,21 @@ def test_batched_tau_matches_each_row_in_either_layout(block_len):
     # scoring chunk and blocks of several chunks all score each row as alone
     window = 85
     y = np.random.default_rng(block_len).chisquare(3, size=(5, block_len))
-    lf, l1f = denoiser._block_logs(gofstat.make_reference(3), y)
-    rows = np.array([denoiser._tau_from_logs(lf[r], l1f[r], window) for r in range(5)])
+    lf, l1f = gofstat.clamped_log_cdf(gofstat.reference_cdf(gofstat.make_reference(3), y))
+    rows = np.array([_tau_from_logs(lf[r], l1f[r], window) for r in range(5)])
     for order in ("C", "F"):
-        batch = denoiser._tau_from_logs(np.asarray(lf, order=order), np.asarray(l1f, order=order), window)
+        batch = _tau_from_logs(np.asarray(lf, order=order), np.asarray(l1f, order=order), window)
         assert np.abs(batch - rows).max() < 1e-12
 
 
 def test_block_tau_memory_is_bounded_by_its_chunk():
     # the windows are copied and sorted a chunk at a time: all 113-point
     # windows of a 2^17-row block at once would take 113 MB
-    y = np.random.default_rng(6).chisquare(4, size=2**17)
-    dist = gofstat.make_reference(4)
+    block = np.random.default_rng(6).standard_normal((2**17, 1, 4))
+    sigma = CovarianceMatrix.from_matrix(np.eye(4))
     tracemalloc.start()
     try:
-        _block_tau(y, dist, 113)
+        _scale_taus([block], [sigma], 112)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,6 +237,32 @@ def test_null_pool_replication_is_the_pipeline_statistic():
             for k in range(cfg.levels):
                 expected = rep.tau[k] if pools[k].shape[1] > 1 else rep.tau[k][:1]
                 assert np.allclose(pools[k][r], expected, rtol=1e-9, atol=1e-9)
+    # alone in its batch, a replication is scored by the very code denoise
+    # scores with: the statistic is equal bit for bit
+    for n in (512, 500, 2048):
+        for r in range(6):
+            g = np.random.default_rng(int(child[r]))
+            _, rep = denoise(g.standard_normal((n, m)), cfg, rng=g)
+            pools = _null_tau_pool(m, n, cfg, child[r : r + 1])
+            for k in range(cfg.levels):
+                expected = rep.tau[k] if pools[k].shape[1] > 1 else rep.tau[k][:1]
+                assert np.array_equal(pools[k][0], expected)
+
+
+def test_calibration_rejects_what_denoise_rejects(monkeypatch):
+    # eight levels of 256 rows leave one approximation coefficient: denoise
+    # rejects the geometry, and calibration rejects it before any MCD fit
+    cfg = DenoiseConfig(levels=8, calibration_reps=100)
+    message = "signal too short: coarsest block needs at least two coefficients"
+    with pytest.raises(ValueError, match=message):
+        denoise(np.random.default_rng(9).standard_normal((256, 3)), cfg)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("calibration fitted a covariance")
+
+    monkeypatch.setattr(denoiser, "mcd_estimate", no_fit)
+    with pytest.raises(ValueError, match=message):
+        calibrate_thresholds(3, 256, cfg)
 
 
 def test_denoise_calibrates_the_unpadded_length():
