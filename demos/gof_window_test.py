@@ -18,7 +18,7 @@ dist = make_reference(m)
 
 window_len = 85
 cfg = DenoiseConfig(window_l=window_len - 1, calibration_reps=2000, p_fa=0.005, levels=1)
-threshold = calibrate_thresholds(m, 2 * 256, cfg)[0]
+threshold = calibrate_thresholds(m, 2 * 256, cfg)[0][0]
 print(f"calibrated threshold (p_fa=0.005): {threshold:.3f}")
 
 noise_window = rng.standard_normal((window_len, m)) @ chol.T

@@ -30,10 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .denoiser import _NULL_CACHE, DenoiseConfig, _plugin_null, baseline_universal, calibrate_thresholds, denoise
-from .gofstat import ad_statistic, gof_test, mahalanobis_edf, make_reference
+from .denoiser import _NULL_CACHE, DenoiseConfig, _scale_taus, baseline_universal, calibrate_thresholds, denoise
+from .gofstat import gof_test
 from .robustcov import mcd_estimate
-from .siggen import NoiseSpec, add_noise, make_signal, snr_db
+from .siggen import NoiseSpec, add_noise, average_snr_db, make_signal, snr_db
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -194,14 +194,14 @@ def _named_signal(name: str, n: int):
 
 
 def cmd_generate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     signal = _named_signal(args.name, args.n)
     try:
         spec = NoiseSpec(signal.n_channels, args.rho, _parse_snr_spec(args.snr))
-        noisy, psi = add_noise(signal, spec, rng=np.random.default_rng(args.seed))
+        noisy, psi = add_noise(signal, spec, rng=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir, "generate", None, args.seed, _digest(signal.channels), extra={"signal": args.name, "n": args.n, "rho": args.rho, "snr": args.snr})
     write_csv(out_dir / "clean.csv", signal.channels)
     write_csv(out_dir / "noisy.csv", noisy)
@@ -214,13 +214,19 @@ def cmd_denoise(args) -> int:
     cfg = _config_from(args)
     x = read_csv(args.input)
     clean = read_csv(args.clean) if args.clean else None
-    if clean is not None and clean.shape != x.shape:
-        # the estimate has the input's shape; fail before calibrating
-        raise GeometryError("clean and estimate must have equal shapes")
+    if clean is not None:
+        # the SNR compares the reference with the estimate, which has the
+        # input's shape: reject a reference it cannot score before calibrating
+        if clean.shape != x.shape:
+            raise GeometryError("clean and estimate must have equal shapes")
+        if not np.isfinite(clean).all():
+            raise GeometryError("clean reference holds non-finite values")
+        if (np.sum(clean**2, axis=0) == 0).any():
+            raise GeometryError("clean signal has zero energy")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        estimate, report = denoise(x, cfg, clean=clean)
+        estimate, report = denoise(x, cfg)
     except ValueError as exc:
         raise GeometryError(str(exc)) from exc
     write_manifest(out_dir, "denoise", cfg, args.seed, _digest(x))
@@ -238,9 +244,9 @@ def cmd_denoise(args) -> int:
         "sigma": report.sigma.sigma.tolist(),
         "warnings": report.warnings_issued,
     }
-    if report.snr_per_channel is not None:
-        payload["snr_per_channel_db"] = [float(v) for v in report.snr_per_channel]
-        payload["snr_average_db"] = float(report.snr_average)
+    if clean is not None:
+        payload["snr_per_channel_db"] = [float(v) for v in snr_db(clean, estimate)]
+        payload["snr_average_db"] = average_snr_db(clean, estimate)
     with _new_file(out_dir / "report.json") as f:
         f.write(json.dumps(payload, indent=2) + "\n")
     print(f"wrote denoised.csv report.json in {out_dir}")
@@ -255,12 +261,13 @@ def cmd_gof(args) -> int:
         sigma = mcd_estimate(x, np.random.default_rng(args.seed))
     except ValueError as exc:
         raise GeometryError(str(exc)) from exc
-    tau = ad_statistic(mahalanobis_edf(x, sigma), make_reference(m))
     # the whole dataset is one window: one level of 2n periodic white noise
     # samples holds n iid rows, the covariance is fitted on those same rows,
-    # and a window wider than the block scores them all at once.
+    # and a window wider than the block scores them all at once.  The rows
+    # are scored by the code that scores the null they are compared with.
     key = dataclasses.replace(cfg, levels=1, window_l=n + n % 2)
-    threshold = float(calibrate_thresholds(m, 2 * n, key)[0])
+    tau = float(_scale_taus([x[:, None]], [sigma], key.window_l)[0][0, 0])
+    threshold = float(calibrate_thresholds(m, 2 * n, key)[0][0])
     decision = gof_test(tau, threshold)
     if args.json:
         print(json.dumps({"tau": tau, "threshold": threshold, "decision": decision.value, "n": n, "channels": m}))
@@ -280,8 +287,7 @@ def _benchmark_cell(params):
     spec = NoiseSpec(signal.n_channels, rho, snr_spec)
     # seed words must be non-negative; the modulus leaves every rho >= 0 unchanged
     rho_key = int(rho * 1000) % 2**32
-    noise_rng = np.random.default_rng([master_seed, hash_str(signal_name), rho_key, rep_index])
-    noisy, _ = add_noise(signal, spec, rng=noise_rng)
+    noisy, _ = add_noise(signal, spec, rng=[master_seed, hash_str(signal_name), rho_key, rep_index])
     method_rng = np.random.default_rng([master_seed, hash_str(signal_name), rho_key, rep_index, hash_str(method)])
     try:
         if method == "mgwd":
@@ -390,7 +396,7 @@ def _run_matrix(cells, channel_counts, n, cfg, pool_map=map):
     """
     for m in channel_counts:
         try:
-            _plugin_null(m, n, cfg, pool_map)
+            calibrate_thresholds(m, n, cfg, pool_map)
         except ValueError:
             pass  # denoise rejects this geometry: its cells record the error
     null_memo = dict(_NULL_CACHE)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -24,7 +24,6 @@ from scipy import linalg as sla
 from . import gofstat
 from .gofstat import make_reference, reference_cdf
 from .robustcov import CovarianceMatrix, SingularCovarianceError, mcd_estimate
-from .siggen import average_snr_db, snr_db
 from .wavelet import FILTER_NAMES, dwt_forward, dwt_inverse, expected_block_lengths, get_filter
 
 # Replications per calibration batch: reps * N * (window + 1) / 2 stays under
@@ -77,8 +76,7 @@ class DenoiseReport:
     threshold.  ``null_retention_sd[k-1]`` is the standard deviation, across
     the calibration replications, of the fraction of scale k a pure-noise
     signal keeps; divided by sqrt(calibration_reps) it is the Monte Carlo
-    error of the threshold in false-alarm-rate units.  SNR fields are
-    populated when a clean reference is supplied.
+    error of the threshold in false-alarm-rate units.
     """
 
     thresholds: np.ndarray
@@ -86,12 +84,7 @@ class DenoiseReport:
     tau: list
     keep_masks: list
     sigma: CovarianceMatrix
-    config: DenoiseConfig
-    n_samples: int
-    n_channels: int
-    snr_per_channel: np.ndarray | None = None
-    snr_average: float | None = None
-    warnings_issued: list = field(default_factory=list)
+    warnings_issued: list
 
     def retained_fraction(self) -> np.ndarray:
         return np.array([float(m.mean()) for m in self.keep_masks])
@@ -192,8 +185,8 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     statistic depends on which replications share its batch: at 2 to 4
     channels, values moved by up to 1.5e-12 when a batch of 22 to 24 was
     scored one replication at a time, and by up to 1.1e-13 when it was split
-    in two.  So :func:`_plugin_null` always cuts the seeds at the same batch
-    boundaries.
+    in two.  So :func:`calibrate_thresholds` always cuts the seeds at the
+    same batch boundaries.
     """
     gens = [np.random.default_rng(int(s)) for s in child_seeds]
     c = len(gens)
@@ -212,19 +205,37 @@ _CALIBRATION_SEED = 0
 _NULL_CACHE: dict = {}
 
 
-def _plugin_null(m: int, n_samples: int, config: DenoiseConfig, map_fn=map):
-    """Thresholds and null retention spread for one calibration key, memoised.
+def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig, map_fn=map):
+    """Per-scale thresholds and null retention spread for one calibration key.
+
+    Returns ``(thresholds, null_retention_sd)``.  ``thresholds[k-1]`` is the
+    (1 - p_fa) quantile at scale k of the plug-in null statistic: the
+    statistic ``denoise`` computes when its input is pure Gaussian noise,
+    covariance estimate included.  Every one of ``calibration_reps``
+    simulated signals of ``n_samples`` rows is whitened with its own MCD
+    estimate from the finest-scale block, and every window position of every
+    replication contributes to the null sample of its scale.  Whitening by a
+    known covariance instead would give a null with lighter tails than the
+    statistic actually used, and a false-alarm rate above p_fa at the scales
+    the covariance is not fitted on.  ``null_retention_sd[k-1]`` is the
+    spread across replications of the fraction of scale k kept at its
+    threshold.
 
     The null law depends on the geometry and test settings only, never on
-    the data or its noise covariance, so one Monte Carlo pool per key serves
-    every call.  The child seeds are cut into batches of :func:`_batch_reps`
-    and ``map_fn`` (builtin ``map`` here, a process pool's ``map`` in a
+    the data or its noise covariance, so one Monte Carlo pool per key (the
+    channel count, the length and the configuration) serves every call: the
+    result is memoised per key.  Each replication is padded by
+    ``dwt_forward`` exactly as an input of ``n_samples`` rows is, so a
+    non-dyadic length is simulated with the mirrored rows its pad
+    duplicates, and a geometry ``denoise`` rejects raises the same
+    ``ValueError`` before any covariance fit.
+
+    The child seeds are cut into batches of :func:`_batch_reps` and
+    ``map_fn`` (builtin ``map`` here, a process pool's ``map`` in a
     benchmark matrix) runs :func:`_null_tau_pool` on each; every batch is
     written straight into its rows of the per-scale pools.  The batches are
     the same whoever maps them, so the result is too; other batch cuts would
     move the pooled statistics by up to 1.5e-12 (see :func:`_null_tau_pool`).
-    Raises ``ValueError`` where ``denoise`` rejects the geometry, before any
-    covariance fit.
     """
     config.validate()
     reps = config.calibration_reps
@@ -234,15 +245,15 @@ def _plugin_null(m: int, n_samples: int, config: DenoiseConfig, map_fn=map):
             "threshold quantile resolution is coarse",
             RuntimeWarning,
         )
-    window = config.window_size(m)
-    key = (m, n_samples, config.filter_name, config.levels, window, config.p_fa, reps)
+    window = config.window_size(n_channels)
+    key = (n_channels, n_samples, config.filter_name, config.levels, window, config.p_fa, reps)
     if key not in _NULL_CACHE:
         child_seeds = np.random.default_rng(_CALIBRATION_SEED).integers(np.iinfo(np.int64).max, size=reps)
         pools = [np.empty((reps, b if b > window else 1)) for b in expected_block_lengths(n_samples, config.levels)]
-        batch = _batch_reps(m, n_samples, config)
+        batch = _batch_reps(n_channels, n_samples, config)
         batches = np.split(child_seeds, range(batch, reps, batch))
         start = 0
-        for taus in map_fn(partial(_null_tau_pool, m, n_samples, config), batches):
+        for taus in map_fn(partial(_null_tau_pool, n_channels, n_samples, config), batches):
             for pool, tau in zip(pools, taus):
                 pool[start : start + len(tau)] = tau
             start += len(tau)
@@ -253,27 +264,6 @@ def _plugin_null(m: int, n_samples: int, config: DenoiseConfig, map_fn=map):
         _NULL_CACHE[key] = (thresholds, sd)
     thresholds, sd = _NULL_CACHE[key]
     return thresholds.copy(), sd.copy()
-
-
-def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig) -> np.ndarray:
-    """Per-scale thresholds: the (1 - p_fa) quantile of the plug-in null statistic.
-
-    The null is the statistic ``denoise`` computes when its input is pure
-    Gaussian noise, covariance estimate included: every one of
-    ``calibration_reps`` simulated signals of ``n_samples`` rows is whitened
-    with its own MCD estimate from the finest-scale block, and every window
-    position of every replication contributes to the null sample of its scale.
-    Whitening by a known covariance instead would give a null with lighter
-    tails than the statistic actually used, and a false-alarm rate above
-    p_fa at the scales the covariance is not fitted on.  The law does not
-    depend on the noise covariance, so thresholds depend only on the
-    channel count, the length and the configuration; they are memoised per
-    key.  Each replication is padded by ``dwt_forward`` exactly as an input
-    of ``n_samples`` rows is, so a non-dyadic length is simulated with the
-    mirrored rows its pad duplicates, and a geometry ``denoise`` rejects
-    raises the same ``ValueError`` before any replication is scored.
-    """
-    return _plugin_null(n_channels, n_samples, config)[0]
 
 
 def _decompose(x: np.ndarray, config: DenoiseConfig):
@@ -298,7 +288,7 @@ def _noise_covariance(rows: np.ndarray, rng) -> CovarianceMatrix:
         return CovarianceMatrix.from_matrix(scatter + ridge * np.eye(m))
 
 
-def denoise(x, config: DenoiseConfig | None = None, rng=None, clean=None):
+def denoise(x, config: DenoiseConfig | None = None, rng=None):
     """Denoise an (N, M) signal; returns ``(estimate, report)``.
 
     The approximation block is never tested or thresholded.  A detail
@@ -322,31 +312,21 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None, clean=None):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sigma = _noise_covariance(dec.details[0], rng)
-        thresholds, null_sd = _plugin_null(m, n, config)
+        thresholds, null_sd = calibrate_thresholds(m, n, config)
 
     taus = [t[0] for t in _scale_taus([d[:, None] for d in dec.details], [sigma], config.window_size(m))]
     masks = [tau >= t for tau, t in zip(taus, thresholds)]
     new_details = [d * keep[:, None] for d, keep in zip(dec.details, masks)]
 
     estimate = dwt_inverse(dec.copy_with_details(new_details))
-    report = DenoiseReport(
+    return estimate, DenoiseReport(
         thresholds=thresholds,
         null_retention_sd=null_sd,
         tau=taus,
         keep_masks=masks,
         sigma=sigma,
-        config=config,
-        n_samples=n,
-        n_channels=m,
         warnings_issued=[str(w.message) for w in caught],
     )
-    if clean is not None:
-        clean = np.asarray(clean, dtype=np.float64)
-        if clean.ndim == 1:
-            clean = clean[:, None]
-        report.snr_per_channel = np.atleast_1d(snr_db(clean, estimate))
-        report.snr_average = average_snr_db(clean, estimate)
-    return estimate, report
 
 
 def baseline_universal(x, config: DenoiseConfig | None = None, rng=None) -> np.ndarray:

@@ -101,13 +101,13 @@ class NoiseSpec:
     n_channels: int
     correlation: object = 0.0
     target_snr_db: object = 0.0
-    seed: int | None = None
 
     def correlation_matrix(self) -> np.ndarray:
         m = self.n_channels
+        if not np.isfinite(np.asarray(self.correlation, dtype=np.float64)).all():
+            raise ValueError(f"correlation must be finite, got {self.correlation}")
         if np.isscalar(self.correlation):
-            rho = float(self.correlation)
-            r = np.full((m, m), rho)
+            r = np.full((m, m), float(self.correlation))
             np.fill_diagonal(r, 1.0)
         else:
             r = np.asarray(self.correlation, dtype=np.float64)
@@ -125,6 +125,10 @@ class NoiseSpec:
             t = np.full(self.n_channels, float(t[0]))
         if t.size != self.n_channels:
             raise ValueError("need one SNR target per channel")
+        # +inf asks for zero noise; NaN and -inf ask for no definite noise power
+        bad = t[np.isnan(t) | (t == -np.inf)]
+        if bad.size:
+            raise ValueError(f"SNR target must be a number or +inf, got {bad[0]:g}")
         return t
 
 
@@ -134,13 +138,14 @@ def add_noise(signal: TestSignal, spec: NoiseSpec, rng=None):
     The raw noise is drawn with the requested correlation structure and then
     each channel is rescaled against its realized power, so the achieved SNR
     matches the target deterministically (within float rounding) rather than
-    in expectation.  Returns ``(noisy, psi)``.
+    in expectation.  ``rng`` is a Generator, used as it is, or a seed (None
+    draws fresh entropy) for ``np.random.default_rng``.  Returns
+    ``(noisy, psi)``.
     """
     s = signal.channels
     if spec.n_channels != s.shape[1]:
         raise ValueError("noise spec channel count does not match signal")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(rng)
     r = spec.correlation_matrix()
     targets = spec.snr_targets()
     z = rng.standard_normal(s.shape) @ np.linalg.cholesky(r).T

@@ -8,6 +8,8 @@ import pytest
 
 from mvdenoise import denoiser
 from mvdenoise.cli import MANIFEST_NAME, build_parser, main, read_csv
+from mvdenoise.denoiser import _scale_taus
+from mvdenoise.robustcov import mcd_estimate
 from mvdenoise.siggen import snr_db
 
 pytestmark = pytest.mark.filterwarnings("ignore:calibration_reps")
@@ -58,6 +60,13 @@ def test_generate_unbalanced_snr(tmp_path):
     assert np.abs(realized - [-3, -5, -7]).max() < 0.01
 
 
+def test_generate_infinite_snr_adds_no_noise(tmp_path):
+    out = tmp_path / "g"
+    assert run_cli(["generate", "heavydoppler3", "--n", "256", "--snr", "inf", "--out", str(out)]) == 0
+    assert np.array_equal(read_csv(out / "noise.csv"), np.zeros((256, 3)))
+    assert np.array_equal(read_csv(out / "noisy.csv"), read_csv(out / "clean.csv"))
+
+
 # ----------------------------------------------------------------- denoise
 
 
@@ -98,17 +107,33 @@ def test_denoise_too_short_signal(tmp_path):
     assert rc == 3
 
 
-@pytest.mark.parametrize("clean_shape", [(512, 3), (256, 4)], ids=["rows", "channels"])
-def test_denoise_clean_shape_mismatch_fails_before_calibration(tmp_path, monkeypatch, capsys, clean_shape):
+def spoiled_reference(rows, column, value):
+    clean = np.ones((256, 3))
+    clean[rows, column] = value
+    return clean
+
+
+@pytest.mark.parametrize(
+    "reference, message",
+    [
+        (np.ones((512, 3)), "clean and estimate must have equal shapes"),
+        (np.ones((256, 4)), "clean and estimate must have equal shapes"),
+        (spoiled_reference(17, 1, np.nan), "clean reference holds non-finite values"),
+        (spoiled_reference(slice(None), 2, 0.0), "clean signal has zero energy"),
+    ],
+    ids=["rows", "channels", "nan", "zero-energy"],
+)
+def test_denoise_clean_shape_mismatch_fails_before_calibration(tmp_path, monkeypatch, capsys, reference, message):
+    # a reference the SNR cannot be scored against fails before any output or calibration
     monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
     x, clean = tmp_path / "x.csv", tmp_path / "clean.csv"
     np.savetxt(x, np.random.default_rng(20).standard_normal((256, 3)), delimiter=",")
-    np.savetxt(clean, np.ones(clean_shape), delimiter=",")
+    np.savetxt(clean, reference, delimiter=",")
     out = tmp_path / "den"
     # a replication count no other test uses, so the memo holds no entry for it
     rc = run_cli(["denoise", str(x), "--clean", str(clean), "--out", str(out), "--calib-reps", "103"])
     assert rc == 3
-    assert "clean and estimate must have equal shapes" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -170,6 +195,19 @@ def test_gof_holds_null_across_seeds(tmp_path, capsys):
         assert rc == 0
         res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert res["decision"] == "H0_noise"
+
+
+@pytest.mark.parametrize("n, m, seed", [(64, 2, 0), (200, 3, 1), (301, 2, 1)])
+def test_gof_tau_is_the_pipeline_statistic(tmp_path, capsys, n, m, seed):
+    # gof scores its rows with the code that scores the null it is compared
+    # with: all rows are one window of one block, at the gof window size
+    p = tmp_path / "x.csv"
+    np.savetxt(p, np.random.default_rng([77, n, m, seed]).standard_normal((n, m)), delimiter=",")
+    assert run_cli(["gof", str(p), "--seed", str(seed), "--json", *FAST]) == 0
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    rows = read_csv(p)
+    sigma = mcd_estimate(rows, np.random.default_rng(seed))
+    assert res["tau"] == float(_scale_taus([rows[:, None]], [sigma], n + n % 2)[0][0, 0])
 
 
 def test_gof_non_finite_data_is_geometry_error(tmp_path, capsys):
@@ -353,6 +391,32 @@ def test_benchmark_bad_matrix_is_usage_error_before_calibration(tmp_path, monkey
     monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
     out = tmp_path / "b"
     assert run_cli([*bench_args(out, seeds=1, methods="mgwd"), "--calib-reps", "101", *extra]) == 64
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("generate", ["--snr", "nan"], "SNR target must be a number or +inf, got nan"),
+        ("generate", ["--snr=-inf"], "SNR target must be a number or +inf, got -inf"),
+        ("generate", ["--snr=0,nan,0"], "SNR target must be a number or +inf, got nan"),
+        ("generate", ["--rho", "nan"], "correlation must be finite, got nan"),
+        ("benchmark", ["--snrs", "nan"], "SNR target must be a number or +inf, got nan"),
+        ("benchmark", ["--rhos", "0,nan"], "correlation must be finite, got nan"),
+    ],
+    ids=["generate-snr-nan", "generate-snr-neg-inf", "generate-unbalanced-nan", "generate-rho-nan", "benchmark-snr-nan",
+         "benchmark-rho-nan"],
+)
+def test_non_finite_noise_setting_is_usage_error(tmp_path, monkeypatch, capsys, command, extra, message):
+    # a noise power or correlation that is not a number names itself and writes nothing
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    out = tmp_path / "o"
+    if command == "generate":
+        argv = ["generate", "heavydoppler3", "--n", "256", "--out", str(out), *extra]
+    else:
+        argv = [*bench_args(out, seeds=1, methods="mgwd"), "--calib-reps", "101", *extra]
+    assert run_cli(argv) == 64
     assert message in capsys.readouterr().err
     assert not out.exists()
 

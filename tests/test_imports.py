@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, the
-command line does not import scipy.stats, and every program name the
-benchmark's tracer reaches into exists.
+command line does not import scipy.stats, every program name the
+benchmark's tracer reaches into exists, and every Python file of the
+repository parses as the oldest supported Python (``requires-python``).
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must occur as a name
@@ -11,6 +12,7 @@ reads, and ``from __future__`` imports bind nothing, so both are skipped.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,12 @@ import pytest
 import mvdenoise
 
 MODULES = sorted(p for p in Path(mvdenoise.__file__).parent.glob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
+# the oldest Python that pyproject.toml's requires-python admits
+OLDEST_PYTHON = tuple(
+    int(v) for v in re.search(r'requires-python = ">=(\d+)\.(\d+)"', (REPO / "pyproject.toml").read_text(encoding="utf-8")).groups()
+)
+SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (REPO / d).rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set:
@@ -75,3 +83,14 @@ def test_names_the_benchmark_tracer_uses_exist():
                ("make_reference", "gofstat"), ("reference_cdf", "gofstat")]
     missing = [f"{module}.{attr}" for attr, module in needed if not hasattr(importlib.import_module(f"mvdenoise.{module}"), attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(REPO).as_posix())
+def test_source_parses_as_oldest_python(path):
+    # only the newest Python may be installed; the grammar of the oldest is checked here
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_oldest_python_parse_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=OLDEST_PYTHON)
