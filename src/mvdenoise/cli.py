@@ -3,9 +3,9 @@ and execute benchmark matrices.
 
 CSV convention: one row per time index, one column per channel, optional single
 header row (a first line that is not numeric and has one cell per column),
-UTF-8, '.' decimal separator.  Lines starting with '#' are comments; every
-emitted CSV carries a '# manifest: manifest.json' reference to the run
-manifest written next to it.
+UTF-8 with or without a byte-order mark, '.' decimal separator.  Lines
+starting with '#' are comments; every emitted CSV carries a
+'# manifest: manifest.json' reference to the run manifest written next to it.
 
 Every output is written as a new file: an existing file of the same name is
 removed first, never truncated and rewritten.  So a hard link to an earlier
@@ -68,7 +68,9 @@ def read_csv(path) -> np.ndarray:
     rows = []
     header = None  # (line number, cell count) of a first line that is not numeric
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # make the first data row non-numeric and so be taken for a header
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -112,12 +114,10 @@ def _new_file(path):
     return open(path, "x", encoding="utf-8", newline="\n")
 
 
-def write_csv(path, data, header=None) -> None:
+def write_csv(path, data) -> None:
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     with _new_file(path) as f:
         f.write(f"# manifest: {MANIFEST_NAME}\n")
-        if header:
-            f.write(",".join(header) + "\n")
         for row in data:
             f.write(",".join(format(v, ".17g") for v in row) + "\n")
 
@@ -167,12 +167,10 @@ def _add_config_flags(p: argparse.ArgumentParser, flags=tuple(_CONFIG_FLAGS)) ->
 
 def _config_from(args) -> DenoiseConfig:
     given = {field: getattr(args, field) for field, _ in _CONFIG_FLAGS.values() if hasattr(args, field)}
-    cfg = DenoiseConfig(seed=args.seed, **given)
     try:
-        cfg.validate()
+        return DenoiseConfig(seed=args.seed, **given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
 def _parse_snr_spec(text: str) -> object:
@@ -248,7 +246,7 @@ def cmd_denoise(args) -> int:
         payload["snr_per_channel_db"] = [float(v) for v in snr_db(clean, estimate)]
         payload["snr_average_db"] = average_snr_db(clean, estimate)
     with _new_file(out_dir / "report.json") as f:
-        f.write(json.dumps(payload, indent=2) + "\n")
+        f.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     print(f"wrote denoised.csv report.json in {out_dir}")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from scipy import linalg as sla
 
 from . import gofstat
 from .gofstat import make_reference, reference_cdf
-from .robustcov import CovarianceMatrix, SingularCovarianceError, mcd_estimate
+from .robustcov import CovarianceMatrix, SingularCovarianceError, _ridge, mcd_estimate
 from .wavelet import FILTER_NAMES, dwt_forward, dwt_inverse, expected_block_lengths, get_filter
 
 # Replications per calibration batch: reps * N * (window + 1) / 2 stays under
@@ -41,7 +41,8 @@ class DenoiseConfig:
 
     16-tap Daubechies filter, five decomposition levels, window size
     L = 28 * n_channels, false-alarm probability 0.005, and 1000 Monte Carlo
-    replications per calibration.
+    replications per calibration.  A config is checked when it is made: an
+    invalid one raises ``ValueError`` and never exists.
     """
 
     filter_name: str = "db8"
@@ -51,7 +52,7 @@ class DenoiseConfig:
     calibration_reps: int = 1000
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.filter_name not in FILTER_NAMES:
             raise ValueError(f"unknown wavelet filter {self.filter_name!r}; available: {list(FILTER_NAMES)}")
         if not 0.0 < self.p_fa < 0.5:
@@ -237,7 +238,6 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig,
     the same whoever maps them, so the result is too; other batch cuts would
     move the pooled statistics by up to 1.5e-12 (see :func:`_null_tau_pool`).
     """
-    config.validate()
     reps = config.calibration_reps
     if reps < 10.0 / config.p_fa:
         warnings.warn(
@@ -275,17 +275,26 @@ def _decompose(x: np.ndarray, config: DenoiseConfig):
 
 def _noise_covariance(rows: np.ndarray, rng) -> CovarianceMatrix:
     # Degenerate blocks (noise-free inputs with linearly dependent channels)
-    # fall back to a ridged scatter so the pipeline can still run; the test
-    # statistics then saturate and essentially everything is retained.
+    # fall back to the scatter with robustcov's ridge so the pipeline can
+    # still run; the test statistics then saturate and essentially
+    # everything is retained.
     try:
         return mcd_estimate(rows, rng)
     except SingularCovarianceError:
-        m = rows.shape[1]
         scatter = rows.T @ rows / max(rows.shape[0], 1)
-        scale = float(np.trace(scatter)) / m
-        ridge = 1e-10 * scale if scale > 0 else 1e-20
         warnings.warn("coefficient block is rank deficient; using ridged scatter", RuntimeWarning)
-        return CovarianceMatrix.from_matrix(scatter + ridge * np.eye(m))
+        return CovarianceMatrix.from_matrix(scatter + _ridge(scatter) * np.eye(rows.shape[1]))
+
+
+def _front_end(x, config: DenoiseConfig | None, rng):
+    # shared by denoise and baseline_universal: (config, (N, M), rng, decomposition)
+    config = config or DenoiseConfig()
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    return config, x.shape, rng, _decompose(x, config)
 
 
 def denoise(x, config: DenoiseConfig | None = None, rng=None):
@@ -298,17 +307,7 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None):
     the same channel count, length and settings.  Deterministic for a
     fixed config seed or caller rng.
     """
-    config = config or DenoiseConfig()
-    config.validate()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    n, m = x.shape
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-
-    dec = _decompose(x, config)
-
+    config, (n, m), rng, dec = _front_end(x, config, rng)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sigma = _noise_covariance(dec.details[0], rng)
@@ -338,20 +337,13 @@ def baseline_universal(x, config: DenoiseConfig | None = None, rng=None) -> np.n
     variance, and so on down the ranking.  Coefficients below their
     channel's threshold are zeroed (hard thresholding).
     """
-    config = config or DenoiseConfig()
-    config.validate()
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    n, m = x.shape
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    dec = _decompose(x, config)
+    config, (n, m), rng, dec = _front_end(x, config, rng)
     sigma = _noise_covariance(dec.details[0], rng)
 
     thresholds = np.empty(m)
     channel_rank = np.argsort(-np.diag(sigma.sigma), kind="stable")
-    thresholds[channel_rank] = np.sqrt(2.0 * sigma.eigenvalues * math.log(n))
+    # the spectrum of the estimate, descending
+    thresholds[channel_rank] = np.sqrt(2.0 * np.linalg.eigh(sigma.sigma)[0][::-1] * math.log(n))
 
     new_details = [np.where(np.abs(d) < thresholds[None, :], 0.0, d) for d in dec.details]
     return dwt_inverse(dec.copy_with_details(new_details))

@@ -184,12 +184,6 @@ class MahalanobisEdf:
     sorted_sq_mds: np.ndarray
     n: int
 
-    def value(self, t) -> np.ndarray:
-        """Empirical CDF: fraction of squared distances <= t."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        out = np.searchsorted(self.sorted_sq_mds, t_arr, side="right") / self.n
-        return float(out[0]) if np.asarray(t).ndim == 0 else out
-
 
 def mahalanobis_edf(window, sigma: CovarianceMatrix) -> MahalanobisEdf:
     """Squared Mahalanobis distances y_i = x_i^T sigma^{-1} x_i of window rows, sorted.

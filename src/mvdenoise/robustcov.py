@@ -10,6 +10,13 @@ merged subsets before the full refinement.  Because detail coefficients are
 zero-mean under the additive Gaussian noise model, all scatter matrices here
 are taken about zero: no location is estimated.
 
+One ridge rule, :func:`_ridge`, serves every scatter that may be singular:
+a tiny fraction of its mean variance, or a fixed floor for a zero scatter.
+The search adds it to every candidate scatter, and a rank-deficient final
+estimate gets it with a warning, so exact fits (most rows zero, say) still
+give an estimate; :mod:`mvdenoise.denoiser` ridges a rank-deficient block
+by the same rule.
+
 The number of random starts follows the same paper's rule: with a fraction
 eps of outlying rows, m random (M+1)-row seeds include at least one clean
 seed with probability 1 - (1 - (1 - eps)^(M+1))^m.  The search draws the
@@ -53,15 +60,12 @@ class SingularCovarianceError(ValueError):
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric positive-definite covariance with cached spectral/Cholesky factors.
+    """Symmetric positive-definite covariance and its Cholesky factor.
 
-    ``eigenvalues`` are sorted descending; ``eigenvectors`` columns match them.
     ``chol`` is the lower-triangular factor used for quadratic-form evaluation.
     """
 
     sigma: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     chol: np.ndarray = field(repr=False)
 
     @classmethod
@@ -71,17 +75,14 @@ class CovarianceMatrix:
             sigma = sigma.reshape(1, 1)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("covariance must be a square matrix")
-        scale = np.abs(sigma).max()
-        if scale == 0.0 or np.abs(sigma - sigma.T).max() > 1e-12 * max(scale, 1.0):
+        if np.abs(sigma - sigma.T).max() > 1e-12 * max(np.abs(sigma).max(), 1.0):
             raise ValueError("covariance must be symmetric")
         sigma = 0.5 * (sigma + sigma.T)
         try:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise SingularCovarianceError("covariance is not positive definite") from None
-        w, v = np.linalg.eigh(sigma)
-        order = np.argsort(w)[::-1]
-        return cls(sigma=sigma, eigenvalues=w[order], eigenvectors=v[:, order], chol=chol)
+        return cls(sigma=sigma, chol=chol)
 
     @property
     def dim(self) -> int:
@@ -111,6 +112,12 @@ def sample_covariance(coeffs) -> CovarianceMatrix:
         return CovarianceMatrix.from_matrix(sigma)
     except SingularCovarianceError:
         raise SingularCovarianceError("rank-deficient coefficient block") from None
+
+
+def _ridge(scatter: np.ndarray) -> float:
+    """The ridge for a possibly singular (M, M) scatter (see the module docstring)."""
+    scale = float(np.trace(scatter)) / scatter.shape[0]
+    return 1e-10 * scale if scale > 0 else 1e-20
 
 
 # The two chi-square helpers call the special functions that scipy.stats.chi2
@@ -157,9 +164,9 @@ class _Concentrator:
     x x^T), so the distances of every row under a batch of scatters and the
     scatters of a batch of subsets are each one matrix product.  A last
     column of ones makes that product return each subset's size as well.
-    Candidate scatters carry a ridge of 1e-10 of the mean variance so
-    singular elemental subsets stay usable; the search only needs distance
-    ranks.
+    Candidate scatters carry the ridge of :func:`_ridge` for the whole
+    block, so singular elemental subsets (and blocks whose rows are all zero)
+    stay usable; the search only needs distance ranks.
     """
 
     def __init__(self, x: np.ndarray, h: int):
@@ -169,7 +176,7 @@ class _Concentrator:
         self.feats1 = np.column_stack([x[:, self.iu] * x[:, self.ju], np.ones(n)])
         self.feats = self.feats1[:, :-1]
         self.off = np.where(self.iu == self.ju, 1.0, 2.0)
-        self.ridge = (1e-10 * np.trace(x.T @ x) / (n * m)) * np.eye(m)
+        self.ridge = _ridge(x.T @ x / n) * np.eye(m)
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         out = np.empty((packed.shape[0], self.m, self.m))
@@ -313,6 +320,5 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
         return CovarianceMatrix.from_matrix(sigma)
     except SingularCovarianceError:
         warnings.warn("minimal-determinant subset is rank deficient; adding ridge", RuntimeWarning)
-        sigma = sigma + (1e-10 * np.trace(sigma) / m) * np.eye(m)
-        return CovarianceMatrix.from_matrix(sigma)
+        return CovarianceMatrix.from_matrix(sigma + _ridge(sigma) * np.eye(m))
 

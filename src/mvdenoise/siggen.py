@@ -59,10 +59,6 @@ class TestSignal:
     channels: np.ndarray  # (N, M)
 
     @property
-    def n_samples(self) -> int:
-        return self.channels.shape[0]
-
-    @property
     def n_channels(self) -> int:
         return self.channels.shape[1]
 
@@ -161,20 +157,35 @@ def add_noise(signal: TestSignal, spec: NoiseSpec, rng=None):
 def snr_db(clean, estimate) -> np.ndarray:
     """Power-ratio SNR, 10 log10(sum s^2 / sum (s - shat)^2), per channel.
 
-    Exact recovery is capped at 200 dB.  Raises on zero clean energy.
+    Exact recovery is capped at 200 dB.  Raises on zero clean energy.  The
+    values and the errors of each channel are scaled by the powers of two
+    that bring their largest into [0.5, 1) before squaring, and the ratio is
+    scaled back after, so no square overflows or loses bits to underflow.
+    Power-of-two scaling is exact, so where the plain sums and their ratio
+    were exact normal floats the SNR keeps its bits; every SNR is finite.
     """
     s = np.atleast_2d(np.asarray(clean, dtype=np.float64).T).T
     e = np.atleast_2d(np.asarray(estimate, dtype=np.float64).T).T
     if s.shape != e.shape:
         raise ValueError("clean and estimate must have equal shapes")
-    sig = np.sum(s**2, axis=0)
-    if (sig == 0).any():
+    d = s - e
+    peak = np.abs(s).max(axis=0, initial=0.0)
+    if (peak == 0).any():
         raise ValueError("clean signal has zero energy")
-    err = np.sum((s - e) ** 2, axis=0)
+    a, b = np.frexp(peak)[1], np.frexp(np.abs(d).max(axis=0, initial=0.0))[1]
+    sig = np.sum(np.ldexp(s, -a) ** 2, axis=0)
+    err = np.sum(np.ldexp(d, -b) ** 2, axis=0)
     out = np.empty(s.shape[1])
     zero = err == 0
     out[zero] = SNR_CAP_DB
-    out[~zero] = np.minimum(10.0 * np.log10(sig[~zero] / err[~zero]), SNR_CAP_DB)
+    r, k = sig[~zero] / err[~zero], 2 * (a - b)[~zero]
+    ratio = np.ldexp(r, k)
+    # a ratio below the normal range is taken in logs, so its SNR stays finite
+    small = ratio < np.finfo(np.float64).tiny
+    ratio[small] = 1.0
+    db = 10.0 * np.log10(ratio)
+    db[small] = 10.0 * (np.log10(r[small]) + k[small] * np.log10(2.0))
+    out[~zero] = np.minimum(db, SNR_CAP_DB)
     return out if np.asarray(clean).ndim > 1 else float(out[0])
 
 

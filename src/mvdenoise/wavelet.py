@@ -106,10 +106,6 @@ class WaveletDecomposition:
     filter_name: str
     levels: int
 
-    @property
-    def n_channels(self) -> int:
-        return self.approx.shape[1]
-
     def copy_with_details(self, new_details) -> "WaveletDecomposition":
         return replace(self, details=list(new_details))
 

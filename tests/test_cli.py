@@ -137,6 +137,39 @@ def test_denoise_clean_shape_mismatch_fails_before_calibration(tmp_path, monkeyp
     assert not out.exists()
 
 
+def test_denoise_report_is_strict_json_for_a_huge_reference(tmp_path):
+    # squaring a 1e200 channel overflowed into a NaN SNR, written as a bare NaN token
+    x, clean = tmp_path / "x.csv", tmp_path / "clean.csv"
+    np.savetxt(x, np.random.default_rng(20).standard_normal((256, 3)), delimiter=",")
+    np.savetxt(clean, np.ones((256, 3)) * [1.0, 1e200, 1.0], delimiter=",")
+    assert run_cli(["denoise", str(x), "--clean", str(clean), "--out", str(tmp_path / "den"), *FAST]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((tmp_path / "den" / "report.json").read_text(), parse_constant=reject)
+    assert np.isfinite(report["snr_per_channel_db"]).all()
+
+
+def test_denoise_noise_free_steps_take_the_ridge(tmp_path):
+    # an exact MCD fit (all-zero minimal subset) falls back to the ridged estimate
+    x = np.zeros((2048, 3))
+    for j, p in enumerate([511, 1023, 1535]):
+        x[p:, j] = 1.0
+    src = tmp_path / "steps.csv"
+    np.savetxt(src, x, delimiter=",")
+    assert run_cli(["denoise", str(src), "--filter", "haar", "--out", str(tmp_path / "den"), *FAST]) == 0
+    report = json.loads((tmp_path / "den" / "report.json").read_text())
+    assert "minimal-determinant subset is rank deficient; adding ridge" in report["warnings"]
+
+
+@pytest.mark.parametrize("header", ["", "ch1,ch2\n"], ids=["no-header", "header"])
+def test_csv_byte_order_mark_keeps_every_row(tmp_path, header):
+    p = tmp_path / "bom.csv"
+    p.write_text(f"\ufeff{header}1.0,2.0\n3.0,4.0\n5.0,6.0\n", encoding="utf-8")
+    assert np.array_equal(read_csv(p), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
 def test_csv_header_autodetect(tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("ch1,ch2\n1.0,2.0\n3.0,4.0\n")
@@ -226,6 +259,16 @@ def test_gof_too_few_rows_is_geometry_error(tmp_path, capsys, rows):
     np.savetxt(p, np.random.default_rng(5).standard_normal((rows, 2)), delimiter=",")
     assert run_cli(["gof", str(p), *FAST]) == 3
     assert f"need at least 6 rows for M=2, got {rows}" in capsys.readouterr().err
+
+
+def test_gof_mostly_zero_rows_take_the_ridge(tmp_path, capsys):
+    # 8 of 10 rows zero: the MCD subset is all zeros, an exact fit
+    x = np.zeros((10, 2))
+    x[3], x[7] = [1.0, 2.0], [-1.5, 0.5]
+    p = tmp_path / "x.csv"
+    np.savetxt(p, x, delimiter=",")
+    assert run_cli(["gof", str(p), "--json", *FAST]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["decision"] == "H1_signal"
 
 
 def test_gof_pfa_out_of_range_is_usage_error(tmp_path):

@@ -208,9 +208,8 @@ def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
 
 
 def test_calibration_reps_floor_enforced():
-    cfg = DenoiseConfig(calibration_reps=50)
     with pytest.raises(ValueError, match="calibration_reps"):
-        cfg.validate()
+        DenoiseConfig(calibration_reps=50)
 
 
 def test_low_reps_warn_about_quantile_resolution():
@@ -372,6 +371,18 @@ def test_univariate_fallback_runs():
     assert rep.sigma.dim == 1
 
 
+def test_noise_free_steps_keep_every_coefficient():
+    # haar details of unit steps at odd rows: one nonzero row per channel at
+    # scale 1, so the MCD fit is exact (all-zero subsets) and takes the ridge
+    x = np.zeros((2048, 3))
+    for j, p in enumerate([511, 1023, 1535]):
+        x[p:, j] = 1.0
+    est, rep = denoise(x, DenoiseConfig(filter_name="haar", calibration_reps=150))
+    assert all(mask.all() for mask in rep.keep_masks)
+    assert np.abs(est - x).max() < 1e-12
+    assert "minimal-determinant subset is rank deficient; adding ridge" in rep.warnings_issued
+
+
 def test_signal_too_short_rejected():
     cfg = DenoiseConfig(calibration_reps=100)
     with pytest.raises(ValueError, match="too short"):
@@ -380,11 +391,11 @@ def test_signal_too_short_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="p_fa"):
-        DenoiseConfig(p_fa=0.6).validate()
+        DenoiseConfig(p_fa=0.6)
     with pytest.raises(ValueError, match="window_l"):
-        DenoiseConfig(window_l=3).validate()
+        DenoiseConfig(window_l=3)
     with pytest.raises(ValueError, match="unknown wavelet filter 'db99'"):
-        DenoiseConfig(filter_name="db99").validate()
+        DenoiseConfig(filter_name="db99")
 
 
 # -------------------------------------------------------------- baseline
@@ -412,7 +423,8 @@ def test_baseline_kills_subthreshold_coefficients():
     dec = dwt_forward(x, get_filter("db8"), 5)
     sigma = mcd_estimate(dec.details[0], np.random.default_rng(25))
     thr = np.empty(2)
-    thr[np.argsort(-np.diag(sigma.sigma), kind="stable")] = np.sqrt(2.0 * sigma.eigenvalues * np.log(1024))
+    eigenvalues = np.linalg.eigh(sigma.sigma)[0][::-1]
+    thr[np.argsort(-np.diag(sigma.sigma), kind="stable")] = np.sqrt(2.0 * eigenvalues * np.log(1024))
     expected = dwt_inverse(
         dec.copy_with_details([np.where(np.abs(d) < thr[None, :], 0.0, d) for d in dec.details])
     )

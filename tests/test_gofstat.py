@@ -83,8 +83,6 @@ def test_mahalanobis_edf_zero_window():
     cov = CovarianceMatrix.from_matrix(np.eye(2))
     edf = mahalanobis_edf(np.zeros((10, 2)), cov)
     assert np.all(edf.sorted_sq_mds == 0.0)
-    assert edf.value(0.0) == 1.0
-    assert edf.value(5.0) == 1.0
 
 
 def test_mahalanobis_edf_scalar_squares():

@@ -48,25 +48,9 @@ def test_quadratic_form_positive_definite():
     assert cov.quadratic_form(np.zeros(2))[0] == 0.0
 
 
-def test_eigen_identity_and_diagonal():
-    cov = CovarianceMatrix.from_matrix(np.eye(3))
-    assert np.allclose(cov.eigenvalues, 1.0)
-    assert np.allclose(cov.eigenvectors.T @ cov.eigenvectors, np.eye(3), atol=1e-10)
-    w = CovarianceMatrix.from_matrix(np.diag([1.0, 4.0])).eigenvalues
-    assert np.allclose(w, [4.0, 1.0])
-    assert np.allclose(1.0 / w, [0.25, 1.0])
-
-
-def test_eigen_reconstructs_random_spd():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 5))
-    sigma = a @ a.T + 5 * np.eye(5)
-    cov = CovarianceMatrix.from_matrix(sigma)
-    w, b = cov.eigenvalues, cov.eigenvectors
-    assert np.abs(b @ np.diag(w) @ b.T - sigma).max() < 1e-10
-    assert np.abs(b.T @ sigma @ b - np.diag(w)).max() < 1e-10
-    assert np.abs(b.T @ b - np.eye(5)).max() < 1e-10
-    assert (np.diff(w) <= 0).all()
+def test_zero_matrix_is_singular():
+    with pytest.raises(SingularCovarianceError):
+        CovarianceMatrix.from_matrix(np.zeros((3, 3)))
 
 
 def test_eigen_rejects_asymmetric():
@@ -131,6 +115,18 @@ def test_mcd_rank_deficient_rejected():
     x = np.random.default_rng(0).standard_normal((100, 1)) @ np.array([[1.0, 2.0]])
     with pytest.raises(SingularCovarianceError):
         mcd_estimate(x, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [512, 1024], ids=["whole-block", "nested"])
+def test_mcd_exact_fit_takes_the_ridge(n):
+    # three independent nonzero rows: the block has full rank, but the
+    # minimal-determinant subset is all zeros (an exact fit), and nested
+    # subsets of the larger block can hold only zero rows
+    x = np.zeros((n, 3))
+    x[[17, n // 2, n - 5]] = [[1.0, 0.0, 0.0], [0.5, 2.0, 0.0], [0.0, -1.0, 3.0]]
+    with pytest.warns(RuntimeWarning, match="adding ridge"):
+        est = mcd_estimate(x, np.random.default_rng(0))
+    assert np.isfinite(est.sigma).all() and np.isfinite(est.chol).all()
 
 
 @pytest.mark.parametrize("n,limit", [(500, 0.25), (2000, 0.15), (8000, 0.08)])

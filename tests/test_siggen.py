@@ -112,6 +112,22 @@ def test_snr_db_trivial_values():
     assert abs(snr_db(x, 0.9 * x) - 20.0) < 1e-12
 
 
+def test_snr_db_is_finite_at_extreme_scales():
+    # squaring 1e200 overflows; the per-channel power-of-two scaling does not
+    rng = np.random.default_rng(8)
+    clean = rng.standard_normal((256, 3))
+    est = clean + 0.1 * rng.standard_normal((256, 3))
+    small = snr_db(clean, est)
+    clean[:, 1] *= 1e200
+    est[:, 1] *= 1e200
+    big = snr_db(clean, est)
+    assert np.isfinite(big).all()
+    assert big[0] == small[0] and big[2] == small[2]
+    assert abs(big[1] - small[1]) < 1e-9
+    # a ratio of 1e-400 is below the float range, but its SNR is not
+    assert abs(snr_db(np.full(8, 1e-100), np.full(8, 1e100)) + 4000.0) < 1e-9
+
+
 def test_snr_db_zero_energy_rejected():
     with pytest.raises(ValueError, match="zero energy"):
         snr_db(np.zeros(10), np.ones(10))
