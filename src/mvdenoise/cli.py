@@ -219,7 +219,7 @@ def cmd_denoise(args) -> int:
             raise GeometryError("clean and estimate must have equal shapes")
         if not np.isfinite(clean).all():
             raise GeometryError("clean reference holds non-finite values")
-        if (np.sum(clean**2, axis=0) == 0).any():
+        if (clean == 0).all(axis=0).any():
             raise GeometryError("clean signal has zero energy")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,8 +23,8 @@ from scipy import linalg as sla
 
 from . import gofstat
 from .gofstat import make_reference, reference_cdf
-from .robustcov import CovarianceMatrix, SingularCovarianceError, _ridge, mcd_estimate
-from .wavelet import FILTER_NAMES, dwt_forward, dwt_inverse, expected_block_lengths, get_filter
+from .robustcov import CovarianceMatrix, mcd_estimate
+from .wavelet import dwt_forward, dwt_inverse, expected_block_lengths, get_filter
 
 # Replications per calibration batch: reps * N * (window + 1) / 2 stays under
 # this.  The windows are scored in chunks of _SCORE_CHUNK_VALUES, so it bounds
@@ -53,8 +53,7 @@ class DenoiseConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.filter_name not in FILTER_NAMES:
-            raise ValueError(f"unknown wavelet filter {self.filter_name!r}; available: {list(FILTER_NAMES)}")
+        get_filter(self.filter_name)
         if not 0.0 < self.p_fa < 0.5:
             raise ValueError("p_fa must lie in (0, 0.5)")
         if self.calibration_reps < 100:
@@ -194,7 +193,7 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     noise = np.stack([g.standard_normal((n_samples, m)) for g in gens], axis=1)
     dec = _decompose(noise.reshape(n_samples, c * m), config)
     details = [d.reshape(d.shape[0], c, m) for d in dec.details]
-    sigmas = [_noise_covariance(details[0][:, j], g) for j, g in enumerate(gens)]
+    sigmas = [mcd_estimate(details[0][:, j], g) for j, g in enumerate(gens)]
     window = config.window_size(m)
     return [t if t.shape[1] > window else t[:, :1] for t in _scale_taus(details, sigmas, window)]
 
@@ -273,19 +272,6 @@ def _decompose(x: np.ndarray, config: DenoiseConfig):
     return dec
 
 
-def _noise_covariance(rows: np.ndarray, rng) -> CovarianceMatrix:
-    # Degenerate blocks (noise-free inputs with linearly dependent channels)
-    # fall back to the scatter with robustcov's ridge so the pipeline can
-    # still run; the test statistics then saturate and essentially
-    # everything is retained.
-    try:
-        return mcd_estimate(rows, rng)
-    except SingularCovarianceError:
-        scatter = rows.T @ rows / max(rows.shape[0], 1)
-        warnings.warn("coefficient block is rank deficient; using ridged scatter", RuntimeWarning)
-        return CovarianceMatrix.from_matrix(scatter + _ridge(scatter) * np.eye(rows.shape[1]))
-
-
 def _front_end(x, config: DenoiseConfig | None, rng):
     # shared by denoise and baseline_universal: (config, (N, M), rng, decomposition)
     config = config or DenoiseConfig()
@@ -310,7 +296,7 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None):
     config, (n, m), rng, dec = _front_end(x, config, rng)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sigma = _noise_covariance(dec.details[0], rng)
+        sigma = mcd_estimate(dec.details[0], rng)
         thresholds, null_sd = calibrate_thresholds(m, n, config)
 
     taus = [t[0] for t in _scale_taus([d[:, None] for d in dec.details], [sigma], config.window_size(m))]
@@ -338,7 +324,7 @@ def baseline_universal(x, config: DenoiseConfig | None = None, rng=None) -> np.n
     channel's threshold are zeroed (hard thresholding).
     """
     config, (n, m), rng, dec = _front_end(x, config, rng)
-    sigma = _noise_covariance(dec.details[0], rng)
+    sigma = mcd_estimate(dec.details[0], rng)
 
     thresholds = np.empty(m)
     channel_rank = np.argsort(-np.diag(sigma.sigma), kind="stable")

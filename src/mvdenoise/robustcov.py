@@ -12,10 +12,11 @@ are taken about zero: no location is estimated.
 
 One ridge rule, :func:`_ridge`, serves every scatter that may be singular:
 a tiny fraction of its mean variance, or a fixed floor for a zero scatter.
-The search adds it to every candidate scatter, and a rank-deficient final
-estimate gets it with a warning, so exact fits (most rows zero, say) still
-give an estimate; :mod:`mvdenoise.denoiser` ridges a rank-deficient block
-by the same rule.
+The search adds it to every candidate scatter, and :func:`mcd_estimate`
+owns both fallbacks that keep a degenerate block usable, each with a
+warning: a rank-deficient block gives its ridged scatter, and a
+rank-deficient final estimate (an exact fit: most rows zero, say) gets the
+ridge.  Every caller, ``denoise``, its null and ``gof`` alike, takes them.
 
 The number of random starts follows the same paper's rule: with a fraction
 eps of outlying rows, m random (M+1)-row seeds include at least one clean
@@ -98,8 +99,9 @@ class CovarianceMatrix:
 def sample_covariance(coeffs) -> CovarianceMatrix:
     """Unbiased zero-mean sample covariance X^T X / (n - 1).
 
-    Non-robust fallback and test oracle.  Raises
-    :class:`SingularCovarianceError` on rank-deficient input.
+    The non-robust test oracle the MCD estimate is checked against; no
+    pipeline route uses it.  Raises :class:`SingularCovarianceError` on
+    rank-deficient input.
     """
     x = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
     if x.ndim != 2:
@@ -259,6 +261,11 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     itself, so the bias is part of the null law the thresholds are taken
     from.  Deterministic for a given ``rng`` state.
 
+    A rank-deficient block (linearly dependent channels, say) has no MCD
+    estimate: it returns the block's scatter about zero plus the ridge of
+    :func:`_ridge`, with a warning, and draws nothing from ``rng``.  A
+    rank-deficient minimal-determinant subset gets the same ridge.
+
     Parameters
     ----------
     coeffs : (n, M) array
@@ -276,7 +283,8 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     full_scatter = x.T @ x / n
     w_full = np.linalg.eigvalsh(full_scatter)
     if w_full[0] <= 1e-12 * max(w_full[-1], 1e-300):
-        raise SingularCovarianceError("coefficient block is rank deficient")
+        warnings.warn("coefficient block is rank deficient; using ridged scatter", RuntimeWarning)
+        return CovarianceMatrix.from_matrix(full_scatter + _ridge(full_scatter) * np.eye(m))
 
     h = (n + m + 1) // 2
     conc = _Concentrator(x, h)
@@ -309,8 +317,8 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     try:
         d2 = CovarianceMatrix.from_matrix(sigma).quadratic_form(x)
     except SingularCovarianceError:
-        d2 = None
-    if d2 is not None:
+        pass
+    else:
         kept = d2 <= _chi2_quantile(_REWEIGHT_MASS, m)
         if kept.sum() > m:
             xk = x[kept]

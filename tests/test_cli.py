@@ -151,6 +151,29 @@ def test_denoise_report_is_strict_json_for_a_huge_reference(tmp_path):
     assert np.isfinite(report["snr_per_channel_db"]).all()
 
 
+def test_denoise_scores_a_tiny_nonzero_reference_channel(tmp_path):
+    # 1e-170 squares to zero, but the channel is not all zero: the SNR scores it
+    x, clean = tmp_path / "x.csv", tmp_path / "clean.csv"
+    np.savetxt(x, np.random.default_rng(20).standard_normal((256, 3)), delimiter=",")
+    np.savetxt(clean, np.ones((256, 3)) * [1.0, 1e-170, 1.0], delimiter=",")
+    assert run_cli(["denoise", str(x), "--clean", str(clean), "--out", str(tmp_path / "den"), *FAST]) == 0
+    snr = json.loads((tmp_path / "den" / "report.json").read_text())["snr_per_channel_db"]
+    assert np.isfinite(snr).all() and snr[1] < -3000
+
+
+def test_rank_deficient_block_takes_the_ridged_scatter(tmp_path, capsys):
+    # x2 = 2 x1: the input and every block of its transform have rank one.
+    # denoise and gof take the same fallback; rows on a line fail the M=2 null
+    p = tmp_path / "dependent.csv"
+    np.savetxt(p, np.random.default_rng(30).standard_normal((256, 1)) * [1.0, 2.0], delimiter=",")
+    assert run_cli(["denoise", str(p), "--out", str(tmp_path / "den"), *FAST]) == 0
+    report = json.loads((tmp_path / "den" / "report.json").read_text())
+    assert "coefficient block is rank deficient; using ridged scatter" in report["warnings"]
+    with pytest.warns(RuntimeWarning, match="using ridged scatter"):
+        assert run_cli(["gof", str(p), "--json", *FAST]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["decision"] == "H1_signal"
+
+
 def test_denoise_noise_free_steps_take_the_ridge(tmp_path):
     # an exact MCD fit (all-zero minimal subset) falls back to the ridged estimate
     x = np.zeros((2048, 3))

@@ -8,6 +8,7 @@ from mvdenoise.robustcov import (
     _chi2_quantile,
     _consistency_factor,
     _n_starts,
+    _ridge,
     mcd_estimate,
     sample_covariance,
 )
@@ -111,10 +112,13 @@ def test_mcd_sample_size_floor():
         mcd_estimate(np.random.default_rng(0).standard_normal((5, 2)), np.random.default_rng(0))
 
 
-def test_mcd_rank_deficient_rejected():
+def test_mcd_rank_deficient_takes_the_ridged_scatter():
+    # a block with no MCD estimate gives its scatter about zero plus the ridge
     x = np.random.default_rng(0).standard_normal((100, 1)) @ np.array([[1.0, 2.0]])
-    with pytest.raises(SingularCovarianceError):
-        mcd_estimate(x, np.random.default_rng(0))
+    with pytest.warns(RuntimeWarning, match="coefficient block is rank deficient; using ridged scatter"):
+        est = mcd_estimate(x, np.random.default_rng(0))
+    scatter = x.T @ x / x.shape[0]
+    assert np.array_equal(est.sigma, scatter + _ridge(scatter) * np.eye(2))
 
 
 @pytest.mark.parametrize("n", [512, 1024], ids=["whole-block", "nested"])

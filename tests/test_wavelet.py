@@ -25,6 +25,15 @@ def test_filter_orthonormality(name):
     assert abs(np.dot(hi, hi) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["db8", "haar"])
+def test_filters_are_shared_and_read_only(name):
+    f = get_filter(name)
+    assert get_filter(name) is f
+    for taps in (f.lowpass, f.highpass):
+        with pytest.raises(ValueError):
+            taps[0] = 0.0
+
+
 def test_unknown_filter_rejected():
     with pytest.raises(ValueError, match="unknown wavelet"):
         get_filter("db99")
