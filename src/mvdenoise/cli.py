@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -255,24 +256,32 @@ def cmd_gof(args) -> int:
     cfg = _config_from(args)
     x = read_csv(args.input)
     n, m = x.shape
-    try:
-        sigma = mcd_estimate(x, np.random.default_rng(args.seed))
-    except ValueError as exc:
-        raise GeometryError(str(exc)) from exc
     # the whole dataset is one window: one level of 2n periodic white noise
     # samples holds n iid rows, the covariance is fitted on those same rows,
     # and a window wider than the block scores them all at once.  The rows
     # are scored by the code that scores the null they are compared with.
     key = dataclasses.replace(cfg, levels=1, window_l=n + n % 2)
+    # the fit's fallbacks and calibration's warnings go into the output, as
+    # denoise's go into its report
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sigma = mcd_estimate(x, np.random.default_rng(args.seed))
+        except ValueError as exc:
+            raise GeometryError(str(exc)) from exc
+        threshold = float(calibrate_thresholds(m, 2 * n, key)[0][0])
     tau = float(_scale_taus([x[:, None]], [sigma], key.window_l)[0][0, 0])
-    threshold = float(calibrate_thresholds(m, 2 * n, key)[0][0])
     decision = gof_test(tau, threshold)
+    warned = [str(w.message) for w in caught]
     if args.json:
-        print(json.dumps({"tau": tau, "threshold": threshold, "decision": decision.value, "n": n, "channels": m}))
+        print(json.dumps({"tau": tau, "threshold": threshold, "decision": decision.value, "n": n, "channels": m,
+                          "warnings": warned}))
     else:
         print(f"tau = {tau:.6g}")
         print(f"threshold (p_fa={cfg.p_fa}) = {threshold:.6g}")
         print(f"decision: {decision.value}")
+        for message in warned:
+            print(f"warning: {message}")
     return EXIT_OK
 
 

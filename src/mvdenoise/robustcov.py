@@ -264,7 +264,9 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     A rank-deficient block (linearly dependent channels, say) has no MCD
     estimate: it returns the block's scatter about zero plus the ridge of
     :func:`_ridge`, with a warning, and draws nothing from ``rng``.  A
-    rank-deficient minimal-determinant subset gets the same ridge.
+    rank-deficient minimal-determinant subset gets the same ridge.  A block
+    whose scatter overflows float64 (entries near 1e154 and larger) has no
+    representable covariance and raises ``ValueError``.
 
     Parameters
     ----------
@@ -280,7 +282,12 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     if not np.isfinite(x).all():
         raise ValueError("non-finite coefficient encountered")
 
-    full_scatter = x.T @ x / n
+    # entries near 1e154 square past the float64 range; rescaling would not
+    # help, since the covariance itself would not be representable
+    with np.errstate(over="ignore"):
+        full_scatter = x.T @ x / n
+    if not np.isfinite(full_scatter).all():
+        raise ValueError("coefficient covariance overflows float64")
     w_full = np.linalg.eigvalsh(full_scatter)
     if w_full[0] <= 1e-12 * max(w_full[-1], 1e-300):
         warnings.warn("coefficient block is rank deficient; using ridged scatter", RuntimeWarning)

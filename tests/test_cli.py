@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -169,9 +170,40 @@ def test_rank_deficient_block_takes_the_ridged_scatter(tmp_path, capsys):
     assert run_cli(["denoise", str(p), "--out", str(tmp_path / "den"), *FAST]) == 0
     report = json.loads((tmp_path / "den" / "report.json").read_text())
     assert "coefficient block is rank deficient; using ridged scatter" in report["warnings"]
-    with pytest.warns(RuntimeWarning, match="using ridged scatter"):
-        assert run_cli(["gof", str(p), "--json", *FAST]) == 0
-    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["decision"] == "H1_signal"
+    capsys.readouterr()
+    assert run_cli(["gof", str(p), "--json", *FAST]) == 0
+    out, err = capsys.readouterr()
+    res = json.loads(out.strip().splitlines()[-1])
+    assert res["decision"] == "H1_signal"
+    assert "coefficient block is rank deficient; using ridged scatter" in res["warnings"]
+    assert err == ""
+
+
+def test_gof_text_output_prints_its_warnings(tmp_path, capsys):
+    # the fit's fallback and calibration's resolution warning, one line each,
+    # on stdout with the decision and never through Python's warning printer
+    p = tmp_path / "dependent.csv"
+    np.savetxt(p, np.random.default_rng(30).standard_normal((256, 1)) * [1.0, 2.0], delimiter=",")
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # what a plain CLI process does
+        assert run_cli(["gof", str(p), *FAST]) == 0
+    out, err = capsys.readouterr()
+    assert "warning: coefficient block is rank deficient; using ridged scatter" in out.splitlines()
+    assert "warning: calibration_reps=150 is below 10/p_fa=2000; threshold quantile resolution is coarse" in out.splitlines()
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["denoise", "gof"])
+def test_overflowing_covariance_is_geometry_error(tmp_path, capsys, command):
+    # at 1e200 the squares leave the float64 range: the covariance itself is
+    # not representable, so the fit refuses it instead of failing inside LAPACK
+    p = tmp_path / "huge.csv"
+    np.savetxt(p, np.random.default_rng(31).standard_normal((256, 3)) * 1e200, delimiter=",")
+    extra = ["--out", str(tmp_path / "den")] if command == "denoise" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning must not escape
+        assert run_cli([command, str(p), *extra, *FAST]) == 3
+    assert "coefficient covariance overflows float64" in capsys.readouterr().err
 
 
 def test_denoise_noise_free_steps_take_the_ridge(tmp_path):

@@ -12,6 +12,7 @@ from mvdenoise.denoiser import (
     calibrate_thresholds,
     denoise,
     _NULL_CACHE,
+    _UpperTail,
     _batch_reps,
     _null_tau_pool,
     _reflected_windows,
@@ -205,6 +206,85 @@ def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
     _NULL_CACHE.clear()
     single_pass = calibrate_thresholds(m, n, cfg)
     assert np.array_equal(single_pass[0], thresholds) and np.array_equal(single_pass[1], sd)
+
+
+def folded_tail(pool, q, rng):
+    # the pool's upper tail, fed in random contiguous batches of rows
+    tail = _UpperTail(*pool.shape, q)
+    start = 0
+    while start < pool.shape[0]:
+        rows = int(rng.integers(1, pool.shape[0] + 1))
+        tail.add(pool[start : start + rows], start)
+        start += rows
+    return tail
+
+
+def assert_tail_is_the_full_pool(pool, q, rng):
+    tail = folded_tail(pool, q, rng)
+    threshold = tail.quantile()
+    assert threshold == float(np.quantile(pool, q))
+    if pool.shape[0] > 1:
+        assert tail.retention_sd(threshold) == float((pool >= threshold).mean(axis=1).std(ddof=1))
+    # it holds exactly the values at or above the k-th largest
+    cut = np.sort(pool, axis=None)[pool.size - tail.k]
+    assert np.array_equal(np.sort(tail.values), np.sort(pool[pool >= cut]))
+    return tail
+
+
+def test_upper_tail_matches_the_full_pool_on_random_pools():
+    rng = np.random.default_rng(40)
+    for trial in range(400):
+        n = int(rng.integers(1, 5001))
+        reps = int(rng.integers(1, min(n, 300) + 1))
+        width = max(1, n // reps)
+        q = float(rng.uniform(0.5, 0.99999))
+        pool = rng.standard_normal((reps, width))
+        if trial % 3 == 0:
+            pool = np.round(pool, 1)  # many ties, at the cut too
+        assert_tail_is_the_full_pool(pool, q, rng)
+
+
+@pytest.mark.parametrize(
+    "reps, width, q, gamma",
+    [
+        (5, 1, 0.75, 0.0),  # integral virtual index, one value per replication
+        (5, 9, 0.75, 0.0),  # integral virtual index, (5*9 - 1) q = 33
+        (4, 25, 0.5, 0.5),  # the g >= 0.5 branch of the interpolation
+        (200, 1, 0.995, None),  # one value per replication at the default p_fa
+        (1, 1, 0.99999, 0.0),  # a single value is every quantile
+    ],
+)
+def test_upper_tail_matches_the_full_pool_at_edges(reps, width, q, gamma):
+    rng = np.random.default_rng([41, reps, width])
+    # three distinct values: ties at the cut, all of which the tail keeps
+    for pool in (rng.standard_normal((reps, width)), rng.integers(0, 3, (reps, width)).astype(float)):
+        tail = assert_tail_is_the_full_pool(pool, q, rng)
+        if gamma is not None:
+            assert tail.gamma == gamma
+
+
+def test_calibration_memory_does_not_grow_with_replications(monkeypatch):
+    # calibration keeps only each scale's upper tail, so 4x the replications
+    # in batches of 20 peaks within 0.58 MB of 1x; full pools of every value
+    # would add 3 * 100 * 961 * 8 bytes = 2.3 MB, and np.quantile's copy more
+    m, n = 2, 1024
+    monkeypatch.setattr(denoiser, "_CAL_CHUNK_VALUES", 20 * n * 57 // 2)
+    peaks = []
+    for reps in (100, 400):
+        cfg = DenoiseConfig(calibration_reps=reps, window_l=56)
+        assert _batch_reps(m, n, cfg) == 20
+        _NULL_CACHE.clear()
+        tracemalloc.start()
+        try:
+            calibrate_thresholds(m, n, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    _NULL_CACHE.clear()  # these entries were cut into batches of 20, not the default
+    # a replication pools 512 + 256 + 128 + 64 values, and one for scale 5's
+    # single window
+    full_pools = 3 * 100 * 961 * 8
+    assert peaks[1] - peaks[0] < 0.25 * full_pools
 
 
 def test_calibration_reps_floor_enforced():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -119,6 +121,19 @@ def test_mcd_rank_deficient_takes_the_ridged_scatter():
         est = mcd_estimate(x, np.random.default_rng(0))
     scatter = x.T @ x / x.shape[0]
     assert np.array_equal(est.sigma, scatter + _ridge(scatter) * np.eye(2))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_mcd_overflowing_covariance_is_refused(scale):
+    # squares past the float64 range: the covariance itself (about scale^2)
+    # is not representable, so the fit refuses with a ValueError that says
+    # so, and numpy's overflow warning stays inside
+    x = np.random.default_rng(9).standard_normal((256, 3))
+    assert np.isfinite(mcd_estimate(x * 1e150, np.random.default_rng(0)).sigma).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^coefficient covariance overflows float64$"):
+            mcd_estimate(x * scale, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("n", [512, 1024], ids=["whole-block", "nested"])
