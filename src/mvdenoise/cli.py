@@ -22,7 +22,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .denoiser import _NULL_CACHE, DenoiseConfig, _scale_taus, baseline_universal, calibrate_thresholds, denoise
+from .denoiser import (
+    _NULL_CACHE,
+    DenoiseConfig,
+    _scale_taus,
+    baseline_universal,
+    calibrate_thresholds,
+    denoise,
+    worker_count,
+)
 from .gofstat import gof_test
 from .robustcov import mcd_estimate
 from .siggen import NoiseSpec, add_noise, average_snr_db, make_signal, snr_db
@@ -209,8 +216,17 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _workers(jobs: int) -> int:
+    # the denoiser's worker rule; a bad MVDENOISE_THREADS is a usage error
+    try:
+        return worker_count(jobs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_denoise(args) -> int:
     cfg = _config_from(args)
+    _workers(1)  # reject a bad MVDENOISE_THREADS before any work
     x = read_csv(args.input)
     clean = read_csv(args.clean) if args.clean else None
     if clean is not None:
@@ -254,6 +270,7 @@ def cmd_denoise(args) -> int:
 
 def cmd_gof(args) -> int:
     cfg = _config_from(args)
+    _workers(1)  # reject a bad MVDENOISE_THREADS before any work
     x = read_csv(args.input)
     n, m = x.shape
     # the whole dataset is one window: one level of 2n periodic white noise
@@ -338,7 +355,16 @@ def cmd_benchmark(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
 
-    workers = _worker_count()
+    cells = []
+    for sig_name in signals:
+        for snr_spec in snrs:
+            balanced = np.isscalar(snr_spec)
+            for rho in rhos:
+                for method in methods:
+                    for rep in range(args.seeds):
+                        cells.append((sig_name, args.n, method, rho, snr_spec, balanced, rep, args.seed, dataclasses.asdict(cfg)))
+
+    workers = _workers(len(cells))
     channels = {name: _named_signal(name, args.n).n_channels for name in signals}
     for m in sorted(set(channels.values())):
         for rho in rhos:
@@ -351,15 +377,6 @@ def cmd_benchmark(args) -> int:
                     raise UsageError(f"{exc} (rho={rho:g}, snr={snr_spec}, {m} channels)") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    cells = []
-    for sig_name in signals:
-        for snr_spec in snrs:
-            balanced = np.isscalar(snr_spec)
-            for rho in rhos:
-                for method in methods:
-                    for rep in range(args.seeds):
-                        cells.append((sig_name, args.n, method, rho, snr_spec, balanced, rep, args.seed, dataclasses.asdict(cfg)))
 
     # only MGWD cells read thresholds; a baseline-only matrix calibrates nothing
     channel_counts = sorted(set(channels.values())) if "mgwd" in methods else []
@@ -384,22 +401,12 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def _worker_count() -> int:
-    text = os.environ.get("MVDENOISE_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        raise UsageError(f"MVDENOISE_THREADS must be an integer, got {text!r}") from None
-    if workers < 1:
-        raise UsageError(f"MVDENOISE_THREADS must be >= 1, got {workers}")
-    return workers
-
-
-def _run_matrix(cells, channel_counts, n, cfg, pool_map=map):
+def _run_matrix(cells, channel_counts, n, cfg, pool_map=None):
     """Calibrate each channel count's key once, then run the cells.
 
-    ``pool_map`` (builtin ``map``, or a process pool's ``map``) runs the
-    calibration batches, then the cells.
+    ``pool_map``, a process pool's ``map``, runs the calibration batches,
+    then the cells.  Without one the cells run in-process, and each
+    calibration follows the worker rule itself.
     """
     for m in channel_counts:
         try:
@@ -407,7 +414,7 @@ def _run_matrix(cells, channel_counts, n, cfg, pool_map=map):
         except ValueError:
             pass  # denoise rejects this geometry: its cells record the error
     null_memo = dict(_NULL_CACHE)
-    return [row for rows in pool_map(_benchmark_cell, [(*cell, null_memo) for cell in cells]) for row in rows]
+    return [row for rows in (pool_map or map)(_benchmark_cell, [(*cell, null_memo) for cell in cells]) for row in rows]
 
 
 def _aggregate_rows(results):

@@ -12,8 +12,12 @@ universal-threshold baseline is included for comparison runs.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -253,6 +257,61 @@ class _UpperTail:
         return float((counts / self.width).std(ddof=1))
 
 
+# the count of worker processes, when set; see worker_rule
+_THREADS_VAR = "MVDENOISE_THREADS"
+# threads each process's BLAS may run, by the BLAS libraries numpy links
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _positive_int(text: str) -> int | None:
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 1 else None
+
+
+def worker_rule(environ, cores: int, jobs: int, in_worker: bool) -> int:
+    """Worker processes for ``jobs`` independent tasks, from the environment alone.
+
+    The one worker rule: calibration, and so ``denoise`` and ``gof``, and
+    the ``benchmark`` matrix all follow it.  ``MVDENOISE_THREADS``, when set
+    in ``environ``, is the count, and must be an integer >= 1
+    (``ValueError`` otherwise).  Unset, each process may run as many BLAS
+    threads as the largest of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+    and ``MKL_NUM_THREADS`` that is set, and ``cores`` divided by that many
+    processes fit; with none of them set the BLAS may use every core, and
+    the count is 1.  The count is then capped at ``cores`` and at ``jobs``:
+    a pool starts all its processes at once, and a worker beyond either has
+    no core or no task.  A process that is itself a worker (``in_worker``)
+    always gets 1, so pools never nest.
+    """
+    if in_worker:
+        return 1
+    text = environ.get(_THREADS_VAR)
+    if text is not None:
+        workers = _positive_int(text)
+        if workers is None:
+            raise ValueError(f"{_THREADS_VAR} must be an integer >= 1, got {text!r}")
+    else:
+        blas = [_positive_int(environ[v]) for v in _BLAS_THREAD_VARS if v in environ]
+        blas = [b for b in blas if b is not None]
+        workers = cores // max(blas) if blas else 1
+    return max(1, min(workers, cores, jobs))
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def worker_count(jobs: int) -> int:
+    """:func:`worker_rule` for this process: its environment, its usable cores, and whether multiprocessing started it."""
+    return worker_rule(os.environ, _usable_cores(), jobs, multiprocessing.parent_process() is not None)
+
+
 # Calibration draws from its own stream, never from the caller's rng, so the
 # memo below is a pure function of its key: the order of calls changes no result.
 _CALIBRATION_SEED = 0
@@ -260,7 +319,7 @@ _CALIBRATION_SEED = 0
 _NULL_CACHE: dict = {}
 
 
-def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig, map_fn=map):
+def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig, map_fn=None):
     """Per-scale thresholds and null retention spread for one calibration key.
 
     Returns ``(thresholds, null_retention_sd)``.  ``thresholds[k-1]`` is the
@@ -286,8 +345,11 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig,
     ``ValueError`` before any covariance fit.
 
     The child seeds are cut into batches of :func:`_batch_reps` and
-    ``map_fn`` (builtin ``map`` here, a process pool's ``map`` in a
-    benchmark matrix) runs :func:`_null_tau_pool` on each.  Only the top
+    ``map_fn`` runs :func:`_null_tau_pool` on each.  Without one, a key that
+    is not memoised is mapped over a process pool of :func:`worker_count`
+    workers (the platform's default start method), or in-process with
+    builtin ``map`` when that count is 1; a memo hit opens no pool.  A
+    benchmark matrix passes its own pool's ``map``.  Only the top
     p_fa share of a scale's pool can decide its quantile, so each batch is
     folded into a per-scale :class:`_UpperTail` as it arrives and then
     dropped: the values at or above the running k-th largest, k = n p_fa + 1
@@ -298,8 +360,12 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig,
     one BLAS thread, a fresh (3, 2048, 1000) calibration added 16.9 MB to
     the process's peak RSS, against 30.6 MB with full pools, and
     (4, 2^17, 100) added 36.3 MB against 153.5 MB.  The batches are the same
-    whoever maps them, so the result is too; other batch cuts would move the
-    pooled statistics by up to 1.5e-12 (see :func:`_null_tau_pool`).
+    whoever maps them, and are folded in order, so the result is too; other
+    batch cuts would move the pooled statistics by up to 1.5e-12 (see
+    :func:`_null_tau_pool`).  On 2 cores with one BLAS thread each, a first
+    default 2048 x 3 ``denoise`` call, nearly all of it the (3, 2048, 1000)
+    calibration, took a median 3.3 s over two workers against 6.1 s
+    in-process.
     """
     reps = config.calibration_reps
     if reps < 10.0 / config.p_fa:
@@ -311,17 +377,23 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig,
     window = config.window_size(n_channels)
     key = (n_channels, n_samples, config.filter_name, config.levels, window, config.p_fa, reps)
     if key not in _NULL_CACHE:
+        # a geometry denoise rejects raises its ValueError here, before any pool opens
+        _decompose(np.zeros((n_samples, 1)), config)
         child_seeds = np.random.default_rng(_CALIBRATION_SEED).integers(np.iinfo(np.int64).max, size=reps)
         blocks = expected_block_lengths(n_samples, config.levels)
         tails = [_UpperTail(reps, b if b > window else 1, 1.0 - config.p_fa) for b in blocks]
         batch = _batch_reps(n_channels, n_samples, config)
         batches = np.split(child_seeds, range(batch, reps, batch))
-        start = 0
-        for taus in map_fn(partial(_null_tau_pool, n_channels, n_samples, config), batches):
-            for tail, tau in zip(tails, taus):
-                tail.add(tau, start)
-            start += len(tau)
-            del taus, tau  # free this batch's statistics before the next batch runs
+        with contextlib.ExitStack() as stack:
+            if map_fn is None:
+                workers = worker_count(len(batches))
+                map_fn = stack.enter_context(ProcessPoolExecutor(workers)).map if workers > 1 else map
+            start = 0
+            for taus in map_fn(partial(_null_tau_pool, n_channels, n_samples, config), batches):
+                for tail, tau in zip(tails, taus):
+                    tail.add(tau, start)
+                start += len(tau)
+                del taus, tau  # free this batch's statistics before the next batch runs
         thresholds = np.array([tail.quantile() for tail in tails])
         sd = np.array([tail.retention_sd(t) for tail, t in zip(tails, thresholds)])
         _NULL_CACHE[key] = (thresholds, sd)

@@ -126,7 +126,7 @@ def spoiled_reference(rows, column, value):
 )
 def test_denoise_clean_shape_mismatch_fails_before_calibration(tmp_path, monkeypatch, capsys, reference, message):
     # a reference the SNR cannot be scored against fails before any output or calibration
-    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    forbid_calibration(monkeypatch)
     x, clean = tmp_path / "x.csv", tmp_path / "clean.csv"
     np.savetxt(x, np.random.default_rng(20).standard_normal((256, 3)), delimiter=",")
     np.savetxt(clean, reference, delimiter=",")
@@ -399,8 +399,9 @@ def test_benchmark_deterministic_bytes(tmp_path):
     assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
 
 
-def test_benchmark_parallel_matches_serial(tmp_path):
+def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch):
     serial, parallel = tmp_path / "s", tmp_path / "p"
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
     assert run_cli(bench_args(serial)) == 0
     env = dict(os.environ, MVDENOISE_THREADS="2", PYTHONPATH=os.pathsep.join(sys.path))
     cmd = [sys.executable, "-m", "mvdenoise.cli", *bench_args(parallel)]
@@ -413,8 +414,14 @@ def no_calibration(*args):
     raise AssertionError("calibration entered")
 
 
-def test_benchmark_baseline_only_never_calibrates(tmp_path, monkeypatch):
+def forbid_calibration(monkeypatch):
+    # pinned to one worker, calibration runs in this process, where the patch is seen
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
     monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+
+
+def test_benchmark_baseline_only_never_calibrates(tmp_path, monkeypatch):
+    forbid_calibration(monkeypatch)
     # a replication count no other test uses, so the memo holds no entry for it
     args = [*bench_args(tmp_path / "b", seeds=1, methods="baseline"), "--calib-reps", "101"]
     assert run_cli(args) == 0
@@ -486,7 +493,7 @@ def test_benchmark_negative_rho(tmp_path):
     ids=["method", "rho", "rho-text", "snr-count", "seeds"],
 )
 def test_benchmark_bad_matrix_is_usage_error_before_calibration(tmp_path, monkeypatch, capsys, extra, message):
-    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    forbid_calibration(monkeypatch)
     out = tmp_path / "b"
     assert run_cli([*bench_args(out, seeds=1, methods="mgwd"), "--calib-reps", "101", *extra]) == 64
     assert message in capsys.readouterr().err
@@ -508,7 +515,7 @@ def test_benchmark_bad_matrix_is_usage_error_before_calibration(tmp_path, monkey
 )
 def test_non_finite_noise_setting_is_usage_error(tmp_path, monkeypatch, capsys, command, extra, message):
     # a noise power or correlation that is not a number names itself and writes nothing
-    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    forbid_calibration(monkeypatch)
     out = tmp_path / "o"
     if command == "generate":
         argv = ["generate", "heavydoppler3", "--n", "256", "--out", str(out), *extra]
@@ -520,10 +527,50 @@ def test_non_finite_noise_setting_is_usage_error(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])
-def test_benchmark_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, value):
+@pytest.mark.parametrize("command", ["denoise", "gof", "benchmark"])
+def test_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, command, value):
+    # every subcommand that calibrates rejects the count before any work
+    x = tmp_path / "x.csv"
+    np.savetxt(x, np.random.default_rng(21).standard_normal((256, 3)), delimiter=",")
+    out = tmp_path / "out"
+    argv = {
+        "denoise": ["denoise", str(x), "--out", str(out), *FAST],
+        "gof": ["gof", str(x), *FAST],
+        "benchmark": bench_args(out, seeds=1),
+    }[command]
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
     monkeypatch.setenv("MVDENOISE_THREADS", value)
-    assert run_cli(bench_args(tmp_path / "b", seeds=1)) == 64
+    assert run_cli(argv) == 64
     assert "MVDENOISE_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):
+    # at two workers calibration maps its batches over a process pool; every
+    # output byte is the one-worker run's
+    assert run_cli(["generate", "heavydoppler3", "--n", "2048", "--rho", "0.75", "--seed", "3", "--out", str(tmp_path)]) == 0
+    np.savetxt(tmp_path / "gof.csv", np.random.default_rng(22).standard_normal((512, 4)), delimiter=",")
+    monkeypatch.setattr(denoiser, "_usable_cores", lambda: 2)
+    opened = []
+    pool_class = denoiser.ProcessPoolExecutor
+
+    def recording_pool(workers):
+        opened.append(workers)
+        return pool_class(workers)
+
+    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", recording_pool)
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MVDENOISE_THREADS", threads)
+        denoiser._NULL_CACHE.clear()  # calibrate afresh, as a new process would
+        out = tmp_path / f"den{threads}"
+        assert run_cli(["denoise", str(tmp_path / "noisy.csv"), "--out", str(out), *FAST]) == 0
+        capsys.readouterr()
+        assert run_cli(["gof", str(tmp_path / "gof.csv"), "--json", *FAST]) == 0
+        outputs[threads] = [(out / name).read_bytes() for name in ("denoised.csv", "report.json")]
+        outputs[threads].append(capsys.readouterr().out)
+    assert opened == [2, 2]  # at --calib-reps 150: 3 batches for denoise, 7 for gof
+    assert outputs["2"] == outputs["1"]
 
 
 def test_benchmark_short_signal_is_usage_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,8 @@ from mvdenoise.denoiser import (
     _reflected_windows,
     _scale_taus,
     _tau_from_logs,
+    worker_count,
+    worker_rule,
 )
 from mvdenoise.robustcov import CovarianceMatrix
 from mvdenoise.siggen import NoiseSpec, add_noise, average_snr_db, make_signal
@@ -204,8 +207,110 @@ def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
     assert np.array_equal(thresholds, [np.quantile(p, 1.0 - cfg.p_fa) for p in whole])
     assert np.array_equal(sd, [(p >= t).mean(axis=1).std(ddof=1) for p, t in zip(whole, thresholds)])
     _NULL_CACHE.clear()
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")  # one pass, in this process
     single_pass = calibrate_thresholds(m, n, cfg)
     assert np.array_equal(single_pass[0], thresholds) and np.array_equal(single_pass[1], sd)
+
+
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize(
+    "environ, cores, jobs, in_worker, expected",
+    [
+        ({}, 8, 15, False, 1),  # no BLAS limit: the BLAS may use every core
+        (ONE_BLAS_THREAD, 2, 15, False, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 15, False, 8),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, 15, False, 2),  # the largest one set
+        ({"OMP_NUM_THREADS": "2"}, 2, 15, False, 1),
+        ({"OMP_NUM_THREADS": "abc"}, 8, 15, False, 1),  # not a limit
+        (ONE_BLAS_THREAD, 8, 3, False, 3),  # no more workers than batches
+        (ONE_BLAS_THREAD, 8, 15, True, 1),  # a pool worker never opens a pool
+        ({"MVDENOISE_THREADS": "1", **ONE_BLAS_THREAD}, 8, 15, False, 1),
+        ({"MVDENOISE_THREADS": "3"}, 8, 15, False, 3),  # the set count, whatever the BLAS
+        ({"MVDENOISE_THREADS": "4000"}, 2, 15, False, 2),  # never more processes than cores
+        ({"MVDENOISE_THREADS": "4000"}, 64, 15, False, 15),
+        ({"MVDENOISE_THREADS": "abc"}, 8, 15, True, 1),
+    ],
+)
+def test_worker_rule(environ, cores, jobs, in_worker, expected):
+    assert worker_rule(environ, cores, jobs, in_worker) == expected
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1.5"])
+def test_worker_rule_rejects_a_bad_count(value):
+    with pytest.raises(ValueError, match="MVDENOISE_THREADS"):
+        worker_rule({"MVDENOISE_THREADS": value}, 8, 15, False)
+
+
+@pytest.fixture
+def two_worker_rule(monkeypatch):
+    """The default rule on two cores with one BLAS thread each; returns the worker counts of the pools opened."""
+    monkeypatch.delenv("MVDENOISE_THREADS", raising=False)
+    for var, value in ONE_BLAS_THREAD.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(denoiser, "_usable_cores", lambda: 2)
+    opened = []
+
+    def recording_pool(workers):
+        opened.append(workers)
+        return concurrent.futures.ProcessPoolExecutor(workers)
+
+    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", recording_pool)
+    return opened
+
+
+@pytest.mark.parametrize(
+    "m, n, cfg, n_batches",
+    [
+        (3, 1024, DenoiseConfig(calibration_reps=300), 3),
+        # gof's key: one level, the whole block one window
+        (4, 1024, DenoiseConfig(calibration_reps=100, levels=1, window_l=512), 5),
+    ],
+)
+def test_pool_calibration_is_bit_identical_to_serial(monkeypatch, two_worker_rule, m, n, cfg, n_batches):
+    # the batches and their in-order fold are the serial run's, so every bit is
+    assert -(-cfg.calibration_reps // _batch_reps(m, n, cfg)) == n_batches
+    assert worker_count(n_batches) == 2
+    _NULL_CACHE.clear()
+    pooled = calibrate_thresholds(m, n, cfg)
+    assert two_worker_rule == [2]
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    _NULL_CACHE.clear()
+    serial = calibrate_thresholds(m, n, cfg)
+    assert two_worker_rule == [2]  # a count of 1 opens no pool
+    assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was opened")
+
+
+def test_memo_hit_opens_no_pool(monkeypatch, two_worker_rule):
+    cfg = DenoiseConfig(calibration_reps=300)
+    _NULL_CACHE.clear()
+    first = calibrate_thresholds(3, 1024, cfg)
+    assert two_worker_rule == [2]
+    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", no_pool)
+    again = calibrate_thresholds(3, 1024, cfg)
+    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+
+
+def test_calibration_in_a_pool_worker_runs_serially(monkeypatch, two_worker_rule):
+    # the worker inherits a rule that gives this process two workers, and a
+    # pool that refuses to open: it must calibrate in-process
+    cfg = DenoiseConfig(calibration_reps=300)
+    monkeypatch.setenv("MVDENOISE_THREADS", "2")
+    assert worker_count(3) == 2
+    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", no_pool)
+    _NULL_CACHE.clear()  # the worker starts with no memo entry
+    with concurrent.futures.ProcessPoolExecutor(1) as pool:
+        assert pool.submit(worker_count, 3).result(timeout=60) == 1
+        in_worker = pool.submit(calibrate_thresholds, 3, 1024, cfg).result(timeout=120)
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    _NULL_CACHE.clear()
+    serial = calibrate_thresholds(3, 1024, cfg)
+    assert np.array_equal(in_worker[0], serial[0]) and np.array_equal(in_worker[1], serial[1])
 
 
 def folded_tail(pool, q, rng):
@@ -268,6 +373,7 @@ def test_calibration_memory_does_not_grow_with_replications(monkeypatch):
     # in batches of 20 peaks within 0.58 MB of 1x; full pools of every value
     # would add 3 * 100 * 961 * 8 bytes = 2.3 MB, and np.quantile's copy more
     m, n = 2, 1024
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")  # tracemalloc sees this process only
     monkeypatch.setattr(denoiser, "_CAL_CHUNK_VALUES", 20 * n * 57 // 2)
     peaks = []
     for reps in (100, 400):
@@ -339,6 +445,7 @@ def test_calibration_rejects_what_denoise_rejects(monkeypatch):
         raise AssertionError("calibration fitted a covariance")
 
     monkeypatch.setattr(denoiser, "mcd_estimate", no_fit)
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")  # any fit would run in this process
     with pytest.raises(ValueError, match=message):
         calibrate_thresholds(3, 256, cfg)
 
