@@ -24,7 +24,6 @@ import hashlib
 import json
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,7 @@ from . import __version__
 from .denoiser import (
     _NULL_CACHE,
     DenoiseConfig,
+    _pool_map,
     _scale_taus,
     baseline_universal,
     calibrate_thresholds,
@@ -174,11 +174,15 @@ def _add_config_flags(p: argparse.ArgumentParser, flags=tuple(_CONFIG_FLAGS)) ->
 
 
 def _config_from(args) -> DenoiseConfig:
+    # every subcommand that calibrates starts here, so a bad MVDENOISE_THREADS
+    # is a usage error before any work
     given = {field: getattr(args, field) for field, _ in _CONFIG_FLAGS.values() if hasattr(args, field)}
     try:
-        return DenoiseConfig(seed=args.seed, **given)
+        config = DenoiseConfig(seed=args.seed, **given)
+        worker_count(1)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return config
 
 
 def _parse_snr_spec(text: str) -> object:
@@ -216,17 +220,8 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _workers(jobs: int) -> int:
-    # the denoiser's worker rule; a bad MVDENOISE_THREADS is a usage error
-    try:
-        return worker_count(jobs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_denoise(args) -> int:
     cfg = _config_from(args)
-    _workers(1)  # reject a bad MVDENOISE_THREADS before any work
     x = read_csv(args.input)
     clean = read_csv(args.clean) if args.clean else None
     if clean is not None:
@@ -270,7 +265,6 @@ def cmd_denoise(args) -> int:
 
 def cmd_gof(args) -> int:
     cfg = _config_from(args)
-    _workers(1)  # reject a bad MVDENOISE_THREADS before any work
     x = read_csv(args.input)
     n, m = x.shape
     # the whole dataset is one window: one level of 2n periodic white noise
@@ -305,7 +299,8 @@ def cmd_gof(args) -> int:
 def _benchmark_cell(params):
     (signal_name, n, method, rho, snr_spec, balanced, rep_index, master_seed, cfg_dict, null_memo) = params
     cfg = DenoiseConfig(**cfg_dict)
-    # thresholds the parent calibrated: a worker process never recalibrates them
+    # thresholds the parent calibrated: a worker process, forked or spawned,
+    # never recalibrates them
     _NULL_CACHE.update(null_memo)
     signal = make_signal(signal_name, n)
     spec = NoiseSpec(signal.n_channels, rho, snr_spec)
@@ -355,16 +350,6 @@ def cmd_benchmark(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
 
-    cells = []
-    for sig_name in signals:
-        for snr_spec in snrs:
-            balanced = np.isscalar(snr_spec)
-            for rho in rhos:
-                for method in methods:
-                    for rep in range(args.seeds):
-                        cells.append((sig_name, args.n, method, rho, snr_spec, balanced, rep, args.seed, dataclasses.asdict(cfg)))
-
-    workers = _workers(len(cells))
     channels = {name: _named_signal(name, args.n).n_channels for name in signals}
     for m in sorted(set(channels.values())):
         for rho in rhos:
@@ -379,12 +364,21 @@ def cmd_benchmark(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # only MGWD cells read thresholds; a baseline-only matrix calibrates nothing
-    channel_counts = sorted(set(channels.values())) if "mgwd" in methods else []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = _run_matrix(cells, channel_counts, args.n, cfg, pool.map)
-    else:
-        results = _run_matrix(cells, channel_counts, args.n, cfg)
+    for m in sorted(set(channels.values())) if "mgwd" in methods else []:
+        try:
+            calibrate_thresholds(m, args.n, cfg)
+        except ValueError:
+            pass  # denoise rejects this geometry: its cells record the error
+    null_memo = dict(_NULL_CACHE)
+    cells = []
+    for sig_name in signals:
+        for snr_spec in snrs:
+            balanced = np.isscalar(snr_spec)
+            for rho in rhos:
+                for method in methods:
+                    for rep in range(args.seeds):
+                        cells.append((sig_name, args.n, method, rho, snr_spec, balanced, rep, args.seed, dataclasses.asdict(cfg), null_memo))
+    results = [row for rows in _pool_map(_benchmark_cell, cells) for row in rows]
 
     write_manifest(out_dir, "benchmark", cfg, args.seed, _digest(np.array([float(len(cells))])), extra={"signals": signals, "rhos": rhos, "methods": methods, "snrs": str(snrs), "reps": args.seeds})
     with _new_file(out_dir / "results.csv") as f:
@@ -399,22 +393,6 @@ def cmd_benchmark(args) -> int:
     _write_plot_data(out_dir, results)
     print(f"wrote results.csv aggregate.csv and plot data in {out_dir}")
     return EXIT_OK
-
-
-def _run_matrix(cells, channel_counts, n, cfg, pool_map=None):
-    """Calibrate each channel count's key once, then run the cells.
-
-    ``pool_map``, a process pool's ``map``, runs the calibration batches,
-    then the cells.  Without one the cells run in-process, and each
-    calibration follows the worker rule itself.
-    """
-    for m in channel_counts:
-        try:
-            calibrate_thresholds(m, n, cfg, pool_map)
-        except ValueError:
-            pass  # denoise rejects this geometry: its cells record the error
-    null_memo = dict(_NULL_CACHE)
-    return [row for rows in (pool_map or map)(_benchmark_cell, [(*cell, null_memo) for cell in cells]) for row in rows]
 
 
 def _aggregate_rows(results):

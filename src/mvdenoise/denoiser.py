@@ -12,7 +12,6 @@ universal-threshold baseline is included for comparison runs.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing
 import os
@@ -20,6 +19,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,12 +60,14 @@ class DenoiseConfig:
         get_filter(self.filter_name)
         if not 0.0 < self.p_fa < 0.5:
             raise ValueError("p_fa must lie in (0, 0.5)")
-        if self.calibration_reps < 100:
-            raise ValueError("calibration_reps must be >= 100")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        if self.window_l is not None and (self.window_l < 2 or self.window_l % 2):
+        if not isinstance(self.calibration_reps, Integral) or self.calibration_reps < 100:
+            raise ValueError("calibration_reps must be an integer >= 100")
+        if not isinstance(self.levels, Integral) or self.levels < 1:
+            raise ValueError("levels must be an integer >= 1")
+        if self.window_l is not None and (not isinstance(self.window_l, Integral) or self.window_l < 2 or self.window_l % 2):
             raise ValueError("window_l must be a positive even integer")
+        if self.seed is not None and (not isinstance(self.seed, Integral) or self.seed < 0):
+            raise ValueError("seed must be None or a non-negative integer")
 
     def window_size(self, n_channels: int) -> int:
         return self.window_l if self.window_l is not None else 28 * n_channels
@@ -312,6 +314,21 @@ def worker_count(jobs: int) -> int:
     return worker_rule(os.environ, _usable_cores(), jobs, multiprocessing.parent_process() is not None)
 
 
+def _pool_map(fn, items):
+    """Yield ``fn(item)`` for each of ``items``, in order.
+
+    The one place a process pool opens: over :func:`worker_count` workers
+    for ``len(items)`` tasks (the platform's default start method), or
+    in-process when that count is 1.  ``fn`` and every item must pickle.
+    """
+    workers = worker_count(len(items))
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(workers) as pool:
+        yield from pool.map(fn, items)
+
+
 # Calibration draws from its own stream, never from the caller's rng, so the
 # memo below is a pure function of its key: the order of calls changes no result.
 _CALIBRATION_SEED = 0
@@ -319,7 +336,7 @@ _CALIBRATION_SEED = 0
 _NULL_CACHE: dict = {}
 
 
-def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig, map_fn=None):
+def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig):
     """Per-scale thresholds and null retention spread for one calibration key.
 
     Returns ``(thresholds, null_retention_sd)``.  ``thresholds[k-1]`` is the
@@ -344,28 +361,24 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig,
     duplicates, and a geometry ``denoise`` rejects raises the same
     ``ValueError`` before any covariance fit.
 
-    The child seeds are cut into batches of :func:`_batch_reps` and
-    ``map_fn`` runs :func:`_null_tau_pool` on each.  Without one, a key that
-    is not memoised is mapped over a process pool of :func:`worker_count`
-    workers (the platform's default start method), or in-process with
-    builtin ``map`` when that count is 1; a memo hit opens no pool.  A
-    benchmark matrix passes its own pool's ``map``.  Only the top
-    p_fa share of a scale's pool can decide its quantile, so each batch is
-    folded into a per-scale :class:`_UpperTail` as it arrives and then
-    dropped: the values at or above the running k-th largest, k = n p_fa + 1
-    for a pool of n values, with their replications.  The thresholds and
-    the retention spread equal the full-pool ``np.quantile`` and count bit
-    for bit, while memory is one batch plus about reps * (sum of pool
-    widths) * p_fa kept values, not every value of every replication.  On
-    one BLAS thread, a fresh (3, 2048, 1000) calibration added 16.9 MB to
-    the process's peak RSS, against 30.6 MB with full pools, and
-    (4, 2^17, 100) added 36.3 MB against 153.5 MB.  The batches are the same
-    whoever maps them, and are folded in order, so the result is too; other
-    batch cuts would move the pooled statistics by up to 1.5e-12 (see
-    :func:`_null_tau_pool`).  On 2 cores with one BLAS thread each, a first
-    default 2048 x 3 ``denoise`` call, nearly all of it the (3, 2048, 1000)
-    calibration, took a median 3.3 s over two workers against 6.1 s
-    in-process.
+    The child seeds of a key that is not memoised are cut into batches of
+    :func:`_batch_reps`, and :func:`_pool_map` runs :func:`_null_tau_pool`
+    on each; a memo hit opens no pool.  Only the top p_fa share of a
+    scale's pool can decide its quantile, so each batch is folded into a
+    per-scale :class:`_UpperTail` as it arrives and then dropped: the values
+    at or above the running k-th largest, k = n p_fa + 1 for a pool of n
+    values, with their replications.  The thresholds and the retention
+    spread equal the full-pool ``np.quantile`` and count bit for bit, while
+    memory is one batch plus about reps * (sum of pool widths) * p_fa kept
+    values, not every value of every replication.  On one BLAS thread, a
+    fresh (3, 2048, 1000) calibration added 16.9 MB to the process's peak
+    RSS, against 30.6 MB with full pools, and (4, 2^17, 100) added 36.3 MB
+    against 153.5 MB.  The batches are the same at every worker count, and
+    are folded in order, so the result is too; other batch cuts would move
+    the pooled statistics by up to 1.5e-12 (see :func:`_null_tau_pool`).
+    On 2 cores with one BLAS thread each, a first default 2048 x 3
+    ``denoise`` call, nearly all of it the (3, 2048, 1000) calibration, took
+    a median 3.3 s over two workers against 6.1 s in-process.
     """
     reps = config.calibration_reps
     if reps < 10.0 / config.p_fa:
@@ -384,16 +397,12 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig,
         tails = [_UpperTail(reps, b if b > window else 1, 1.0 - config.p_fa) for b in blocks]
         batch = _batch_reps(n_channels, n_samples, config)
         batches = np.split(child_seeds, range(batch, reps, batch))
-        with contextlib.ExitStack() as stack:
-            if map_fn is None:
-                workers = worker_count(len(batches))
-                map_fn = stack.enter_context(ProcessPoolExecutor(workers)).map if workers > 1 else map
-            start = 0
-            for taus in map_fn(partial(_null_tau_pool, n_channels, n_samples, config), batches):
-                for tail, tau in zip(tails, taus):
-                    tail.add(tau, start)
-                start += len(tau)
-                del taus, tau  # free this batch's statistics before the next batch runs
+        start = 0
+        for taus in _pool_map(partial(_null_tau_pool, n_channels, n_samples, config), batches):
+            for tail, tau in zip(tails, taus):
+                tail.add(tau, start)
+            start += len(tau)
+            del taus, tau  # free this batch's statistics before the next batch runs
         thresholds = np.array([tail.quantile() for tail in tails])
         sd = np.array([tail.retention_sd(t) for tail, t in zip(tails, thresholds)])
         _NULL_CACHE[key] = (thresholds, sd)

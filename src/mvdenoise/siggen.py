@@ -191,4 +191,4 @@ def snr_db(clean, estimate) -> np.ndarray:
 
 def average_snr_db(clean, estimate) -> float:
     """Mean of the per-channel SNRs in dB."""
-    return float(np.mean(snr_db(np.atleast_2d(clean.T).T, np.atleast_2d(estimate.T).T)))
+    return float(np.mean(snr_db(clean, estimate)))

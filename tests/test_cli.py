@@ -410,6 +410,19 @@ def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch):
     assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
 
 
+def test_benchmark_opens_its_pools_through_the_denoiser(tmp_path, monkeypatch, two_worker_rule):
+    # one pool calibrates the key and one runs the cells; every results.csv
+    # byte is the one-worker run's
+    denoiser._NULL_CACHE.clear()  # calibrate afresh, as a new process would
+    assert run_cli(bench_args(tmp_path / "p")) == 0
+    assert two_worker_rule == [2, 2]
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    denoiser._NULL_CACHE.clear()
+    assert run_cli(bench_args(tmp_path / "s")) == 0
+    assert two_worker_rule == [2, 2]  # a count of 1 opens no pool
+    assert (tmp_path / "p" / "results.csv").read_bytes() == (tmp_path / "s" / "results.csv").read_bytes()
+
+
 def no_calibration(*args):
     raise AssertionError("calibration entered")
 
@@ -545,20 +558,11 @@ def test_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, command,
     assert not out.exists()
 
 
-def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):
+def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys, two_worker_rule):
     # at two workers calibration maps its batches over a process pool; every
     # output byte is the one-worker run's
     assert run_cli(["generate", "heavydoppler3", "--n", "2048", "--rho", "0.75", "--seed", "3", "--out", str(tmp_path)]) == 0
     np.savetxt(tmp_path / "gof.csv", np.random.default_rng(22).standard_normal((512, 4)), delimiter=",")
-    monkeypatch.setattr(denoiser, "_usable_cores", lambda: 2)
-    opened = []
-    pool_class = denoiser.ProcessPoolExecutor
-
-    def recording_pool(workers):
-        opened.append(workers)
-        return pool_class(workers)
-
-    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", recording_pool)
     outputs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("MVDENOISE_THREADS", threads)
@@ -569,7 +573,7 @@ def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeyp
         assert run_cli(["gof", str(tmp_path / "gof.csv"), "--json", *FAST]) == 0
         outputs[threads] = [(out / name).read_bytes() for name in ("denoised.csv", "report.json")]
         outputs[threads].append(capsys.readouterr().out)
-    assert opened == [2, 2]  # at --calib-reps 150: 3 batches for denoise, 7 for gof
+    assert two_worker_rule == [2, 2]  # at --calib-reps 150: 3 batches for denoise, 7 for gof
     assert outputs["2"] == outputs["1"]
 
 

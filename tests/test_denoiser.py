@@ -26,6 +26,8 @@ from mvdenoise.robustcov import CovarianceMatrix
 from mvdenoise.siggen import NoiseSpec, add_noise, average_snr_db, make_signal
 from mvdenoise.wavelet import dwt_forward, dwt_inverse, get_filter
 
+from conftest import ONE_BLAS_THREAD
+
 pytestmark = pytest.mark.filterwarnings("ignore:calibration_reps")
 
 
@@ -180,9 +182,9 @@ def test_calibrate_thresholds_deterministic():
 
 
 def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
-    # a benchmark matrix hands each batch of child seeds to whichever worker
-    # process is free; the seeds cut at batch boundaries into 1, 2 or 3
-    # contiguous slices give the same pool, and so the same thresholds
+    # a process pool hands each batch of child seeds to whichever worker is
+    # free; the seeds cut at batch boundaries into 1, 2 or 3 contiguous
+    # slices give the same pool, and so the same thresholds
     m, n = 3, 512
     cfg = DenoiseConfig(calibration_reps=100, levels=4)
     monkeypatch.setattr(denoiser, "_CAL_CHUNK_VALUES", 40 * n * (cfg.window_size(m) + 1) // 2)
@@ -201,7 +203,9 @@ def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
         return map(fn, seed_batches)
 
     _NULL_CACHE.clear()
-    thresholds, sd = calibrate_thresholds(m, n, cfg, recording_map)
+    with monkeypatch.context() as patch:
+        patch.setattr(denoiser, "_pool_map", recording_map)
+        thresholds, sd = calibrate_thresholds(m, n, cfg)
     assert [len(b) for b in batches] == [40, 40, 20]
     assert np.array_equal(np.concatenate(batches), seeds)
     assert np.array_equal(thresholds, [np.quantile(p, 1.0 - cfg.p_fa) for p in whole])
@@ -210,9 +214,6 @@ def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
     monkeypatch.setenv("MVDENOISE_THREADS", "1")  # one pass, in this process
     single_pass = calibrate_thresholds(m, n, cfg)
     assert np.array_equal(single_pass[0], thresholds) and np.array_equal(single_pass[1], sd)
-
-
-ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 @pytest.mark.parametrize(
@@ -241,23 +242,6 @@ def test_worker_rule(environ, cores, jobs, in_worker, expected):
 def test_worker_rule_rejects_a_bad_count(value):
     with pytest.raises(ValueError, match="MVDENOISE_THREADS"):
         worker_rule({"MVDENOISE_THREADS": value}, 8, 15, False)
-
-
-@pytest.fixture
-def two_worker_rule(monkeypatch):
-    """The default rule on two cores with one BLAS thread each; returns the worker counts of the pools opened."""
-    monkeypatch.delenv("MVDENOISE_THREADS", raising=False)
-    for var, value in ONE_BLAS_THREAD.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(denoiser, "_usable_cores", lambda: 2)
-    opened = []
-
-    def recording_pool(workers):
-        opened.append(workers)
-        return concurrent.futures.ProcessPoolExecutor(workers)
-
-    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", recording_pool)
-    return opened
 
 
 @pytest.mark.parametrize(
@@ -583,6 +567,18 @@ def test_config_validation():
         DenoiseConfig(window_l=3)
     with pytest.raises(ValueError, match="unknown wavelet filter 'db99'"):
         DenoiseConfig(filter_name="db99")
+    # numpy integers are integers
+    DenoiseConfig(levels=np.int64(4), window_l=np.int64(56), calibration_reps=np.int32(150), seed=np.uint32(3))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("levels", 2.5), ("calibration_reps", 150.5), ("window_l", 56.0), ("seed", -1), ("seed", 1.5)],
+)
+def test_config_rejects_a_setting_that_is_not_a_valid_integer(field, value):
+    # each once passed the config and failed later, inside denoise
+    with pytest.raises(ValueError, match=field):
+        DenoiseConfig(**{field: value})
 
 
 # -------------------------------------------------------------- baseline

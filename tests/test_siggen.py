@@ -139,3 +139,5 @@ def test_average_snr_is_channel_mean():
     est = clean + 0.1 * rng.standard_normal((256, 3))
     per = snr_db(clean, est)
     assert abs(average_snr_db(clean, est) - per.mean()) < 1e-12
+    # lists of one channel, as snr_db takes them
+    assert average_snr_db([1.0, 2.0], [1.0, 2.5]) == snr_db([1.0, 2.0], [1.0, 2.5])
