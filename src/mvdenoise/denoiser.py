@@ -12,6 +12,7 @@ universal-threshold baseline is included for comparison runs.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -19,15 +20,14 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy import linalg as sla
+from numpy.lib.stride_tricks import as_strided
 
 from . import gofstat
 from .gofstat import make_reference, reference_cdf
-from .robustcov import CovarianceMatrix, mcd_estimate
+from .robustcov import CovarianceMatrix, _solve_lower, mcd_estimate
 from .wavelet import dwt_forward, dwt_inverse, expected_block_lengths, get_filter
 
 # Replications per calibration batch: reps * N * (window + 1) / 2 stays under
@@ -37,6 +37,11 @@ from .wavelet import dwt_forward, dwt_inverse, expected_block_lengths, get_filte
 _CAL_CHUNK_VALUES = 6_000_000
 # floats sorted at once by the window scorer (512 KB, an L2-sized buffer)
 _SCORE_CHUNK_VALUES = 1 << 16
+
+
+def _is_number(value, kind) -> bool:
+    # numpy numbers count; bool, although an Integral, is not a setting's number
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,15 +63,15 @@ class DenoiseConfig:
 
     def __post_init__(self) -> None:
         get_filter(self.filter_name)
-        if not 0.0 < self.p_fa < 0.5:
-            raise ValueError("p_fa must lie in (0, 0.5)")
-        if not isinstance(self.calibration_reps, Integral) or self.calibration_reps < 100:
+        if not _is_number(self.p_fa, Real) or not 0.0 < self.p_fa < 0.5:
+            raise ValueError("p_fa must be a number in (0, 0.5)")
+        if not _is_number(self.calibration_reps, Integral) or self.calibration_reps < 100:
             raise ValueError("calibration_reps must be an integer >= 100")
-        if not isinstance(self.levels, Integral) or self.levels < 1:
+        if not _is_number(self.levels, Integral) or self.levels < 1:
             raise ValueError("levels must be an integer >= 1")
-        if self.window_l is not None and (not isinstance(self.window_l, Integral) or self.window_l < 2 or self.window_l % 2):
+        if self.window_l is not None and (not _is_number(self.window_l, Integral) or self.window_l < 2 or self.window_l % 2):
             raise ValueError("window_l must be a positive even integer")
-        if self.seed is not None and (not isinstance(self.seed, Integral) or self.seed < 0):
+        if self.seed is not None and (not _is_number(self.seed, Integral) or self.seed < 0):
             raise ValueError("seed must be None or a non-negative integer")
 
     def window_size(self, n_channels: int) -> int:
@@ -96,12 +101,25 @@ class DenoiseReport:
         return np.array([float(m.mean()) for m in self.keep_masks])
 
 
+@functools.lru_cache(maxsize=64)
+def _reflect_index(b: int, half: int, extra_left: int) -> np.ndarray:
+    # indices into a length-b axis that pad it by half + extra_left values
+    # at the left and half at the right, each end reflected without
+    # repeating its edge (0 -> 2,1,0,1,2): np.pad's "reflect" mode, for
+    # pads shorter than b.  The one reflect rule of the window scorer.
+    pos = np.abs(np.arange(-(half + extra_left), b + half))
+    index = np.where(pos > b - 1, 2 * (b - 1) - pos, pos)
+    index.setflags(write=False)
+    return index
+
+
 def _reflected_windows(v: np.ndarray, window: int) -> np.ndarray:
-    # (..., B, window) view of the window centred at each index of the last
-    # axis; the ends reflect (0 -> 2,1,0,1,2).  Needs B > window // 2.
-    half = window // 2
-    padded = np.pad(v, [(0, 0)] * (v.ndim - 1) + [(half, half)], mode="reflect")
-    return sliding_window_view(padded, window, axis=-1)
+    # (..., B, window) read-only view of the window centred at each index of
+    # the last axis; the ends reflect (0 -> 2,1,0,1,2).  Needs B > window // 2.
+    # as_strided is sliding_window_view without its checks, a third of the cost.
+    padded = v[..., _reflect_index(v.shape[-1], window // 2, 0)]
+    step = padded.strides[-1:]
+    return as_strided(padded, padded.shape[:-1] + (v.shape[-1], window), padded.strides + step, writeable=False)
 
 
 def _tau_from_logs(lf: np.ndarray, l1f: np.ndarray, window: int) -> np.ndarray:
@@ -137,9 +155,9 @@ def _tau_from_logs(lf: np.ndarray, l1f: np.ndarray, window: int) -> np.ndarray:
             chunk.sort(axis=-1)
             np.matmul(chunk, weights, out=s[r, lo : lo + span])
     s = s.reshape(d.shape)
-    # one more reflected value in front, so csum[i + w] - csum[i] is the sum
-    # over the window centred at i
-    csum = np.cumsum(np.pad(l1f, [(0, 0)] * (l1f.ndim - 1) + [(w // 2 + 1, w // 2)], mode="reflect"), axis=-1)
+    # the windows' reflect index with one more reflected value in front, so
+    # csum[i + w] - csum[i] is the sum over the window centred at i
+    csum = np.cumsum(l1f[..., _reflect_index(b, w // 2, 1)], axis=-1)
     s += 2 * w * (csum[..., w:] - csum[..., :-w])
     return -w - s / w
 
@@ -155,7 +173,7 @@ def _scale_taus(details, sigmas, window: int) -> list:
     m = details[0].shape[-1]
     dist = make_reference(m)
     # v -> v^T sigma^{-1} v evaluated as |ichol v|^2, one factor per signal
-    ichol = np.stack([sla.solve_triangular(s.chol, np.eye(m), lower=True) for s in sigmas])
+    ichol = np.stack([_solve_lower(s.chol, np.eye(m)) for s in sigmas])
     taus = []
     for d in details:
         z = np.einsum("cij,bcj->cbi", ichol, d)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from mvdenoise import denoiser, gofstat
 from mvdenoise.denoiser import (
@@ -16,13 +17,14 @@ from mvdenoise.denoiser import (
     _UpperTail,
     _batch_reps,
     _null_tau_pool,
+    _reflect_index,
     _reflected_windows,
     _scale_taus,
     _tau_from_logs,
     worker_count,
     worker_rule,
 )
-from mvdenoise.robustcov import CovarianceMatrix
+from mvdenoise.robustcov import CovarianceMatrix, _solve_lower
 from mvdenoise.siggen import NoiseSpec, add_noise, average_snr_db, make_signal
 from mvdenoise.wavelet import dwt_forward, dwt_inverse, get_filter
 
@@ -57,6 +59,19 @@ def test_sliding_window_reflects_at_left_edge():
     assert list(windows[99]) == [97, 98, 99, 98, 97]
 
 
+@pytest.mark.parametrize("window", [3, 5, 29, 85])
+@pytest.mark.parametrize("extra_left", [0, 1], ids=["windows", "cumsum"])
+def test_reflect_index_matches_numpy_reflect_pad(window, extra_left):
+    # reference: the np.pad call each index replaced, the windows' pad and
+    # the cumulative-sum pad with one more value in front, for every block
+    # length the window scorer pads (a window up to three windows)
+    half = window // 2
+    for b in range(window, 3 * window + 1):
+        v = np.random.default_rng([window, b]).standard_normal((2, b))
+        padded = np.pad(v, [(0, 0), (half + extra_left, half)], mode="reflect")
+        assert np.array_equal(v[..., _reflect_index(b, half, extra_left)], padded)
+
+
 def test_sliding_window_shrinks_to_block():
     # a block shorter than the window is scored as one shared window
     y = np.random.default_rng(1).chisquare(2, size=3)
@@ -78,6 +93,15 @@ def test_window_size_must_be_even():
 
 
 # ---------------------------------------------------- statistic plumbing
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_whitening_factor_matches_solve_triangular_bits(m):
+    # _scale_taus whitens by chol^{-1}: the LAPACK call gives the bits
+    # scipy.linalg.solve_triangular, its old route, gave
+    a = np.random.default_rng([30, m]).standard_normal((m, m))
+    chol = CovarianceMatrix.from_matrix(a @ a.T + 0.5 * np.eye(m)).chol
+    assert np.array_equal(_solve_lower(chol, np.eye(m)), solve_triangular(chol, np.eye(m), lower=True))
 
 
 def test_vectorized_tau_matches_scalar_reference():
@@ -563,6 +587,10 @@ def test_signal_too_short_rejected():
 def test_config_validation():
     with pytest.raises(ValueError, match="p_fa"):
         DenoiseConfig(p_fa=0.6)
+    with pytest.raises(ValueError, match="p_fa"):
+        DenoiseConfig(p_fa="0.1")
+    with pytest.raises(ValueError, match="p_fa"):
+        DenoiseConfig(p_fa=True)
     with pytest.raises(ValueError, match="window_l"):
         DenoiseConfig(window_l=3)
     with pytest.raises(ValueError, match="unknown wavelet filter 'db99'"):
@@ -573,10 +601,22 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("levels", 2.5), ("calibration_reps", 150.5), ("window_l", 56.0), ("seed", -1), ("seed", 1.5)],
+    [
+        ("levels", 2.5),
+        ("calibration_reps", 150.5),
+        ("window_l", 56.0),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("levels", True),
+        ("window_l", True),
+        ("calibration_reps", True),
+        ("seed", True),
+        ("seed", False),
+    ],
 )
 def test_config_rejects_a_setting_that_is_not_a_valid_integer(field, value):
-    # each once passed the config and failed later, inside denoise
+    # each once passed the config and failed later, inside denoise, or (a
+    # bool, an Integral) was taken as the integer it equals
     with pytest.raises(ValueError, match=field):
         DenoiseConfig(**{field: value})
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from mvdenoise.robustcov import (
     CovarianceMatrix,
@@ -49,6 +50,27 @@ def test_quadratic_form_positive_definite():
     q = cov.quadratic_form(v)
     assert (q > 0).all()
     assert cov.quadratic_form(np.zeros(2))[0] == 0.0
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_quadratic_form_matches_solve_triangular_bits(m):
+    # reference: the scipy.linalg.solve_triangular route quadratic_form took
+    # before it called LAPACK's dtrtrs itself
+    rng = np.random.default_rng([20, m])
+    a = rng.standard_normal((m, m))
+    cov = CovarianceMatrix.from_matrix(a @ a.T + 0.5 * np.eye(m))
+    v = rng.standard_normal((300, m))
+    z = solve_triangular(cov.chol, v.T, lower=True)
+    assert np.array_equal(cov.quadratic_form(v), np.einsum("ij,ij->j", z, z))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quadratic_form_rejects_a_non_finite_row(bad):
+    cov = CovarianceMatrix.from_matrix(np.eye(3))
+    rows = np.ones((4, 3))
+    rows[2, 1] = bad
+    with pytest.raises(ValueError, match="NaN"):
+        cov.quadratic_form(rows)
 
 
 def test_zero_matrix_is_singular():
