@@ -203,6 +203,10 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
 
     Scores one replication per entry of ``child_seeds``, all as one batch,
     and returns one (replications, values per replication) array per scale.
+    The batch's finest-scale blocks are fitted as one stack, by one
+    :func:`~mvdenoise.robustcov.mcd_estimate` call with each replication's
+    generator: each estimate equals that block's lone fit bit for bit, and
+    the stack shares each C-step's numpy calls across the batch.
     A block no wider than the window is one shared window per replication:
     it contributes a single value each.  Replication r draws from the
     generator seeded by ``child_seeds[r]`` alone, but the rounding of its
@@ -218,7 +222,7 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     dec = _decompose(noise.reshape(n_samples, c * m), config)
     del noise  # the decomposition holds no view of it: free it before scoring
     details = [d.reshape(d.shape[0], c, m) for d in dec.details]
-    sigmas = [mcd_estimate(details[0][:, j], g) for j, g in enumerate(gens)]
+    sigmas = mcd_estimate(details[0].transpose(1, 0, 2), gens)
     window = config.window_size(m)
     return [t if t.shape[1] > window else t[:, :1] for t in _scale_taus(details, sigmas, window)]
 
@@ -389,14 +393,15 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     spread equal the full-pool ``np.quantile`` and count bit for bit, while
     memory is one batch plus about reps * (sum of pool widths) * p_fa kept
     values, not every value of every replication.  On one BLAS thread, a
-    fresh (3, 2048, 1000) calibration added 16.9 MB to the process's peak
-    RSS, against 30.6 MB with full pools, and (4, 2^17, 100) added 36.3 MB
-    against 153.5 MB.  The batches are the same at every worker count, and
-    are folded in order, so the result is too; other batch cuts would move
-    the pooled statistics by up to 1.5e-12 (see :func:`_null_tau_pool`).
-    On 2 cores with one BLAS thread each, a first default 2048 x 3
-    ``denoise`` call, nearly all of it the (3, 2048, 1000) calibration, took
-    a median 3.3 s over two workers against 6.1 s in-process.
+    fresh in-process (3, 2048, 1000) calibration added 19 to 22 MB to the
+    process's peak RSS (30.6 MB with full pools), and (4, 2^17, 100) added
+    29 to 30 MB (153.5 MB).  The batches are the same at every worker
+    count, and are folded in order, so the result is too; other batch cuts
+    would move the pooled statistics by up to 1.5e-12 (see
+    :func:`_null_tau_pool`).  On 2 cores with one BLAS thread each, a first
+    default 2048 x 3 ``denoise`` call, nearly all of it the
+    (3, 2048, 1000) calibration, took a median 1.6 s over two workers
+    against 2.6 s in-process (6 fresh processes each).
     """
     reps = config.calibration_reps
     if reps < 10.0 / config.p_fa:

@@ -18,6 +18,7 @@ weight (F(1-F))^{-1} emphasises the distribution tails.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,15 +89,28 @@ def _series_log_coeffs(eigenvalues: np.ndarray, n_terms: int) -> np.ndarray:
         return log_c0 + np.arange(n_terms + 1) * math.log(rho) + np.log(r)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_reference(dims: int) -> ReferenceDistribution:
+    # chi-square with M degrees of freedom on the gamma route; every caller
+    # shares it, so its eigenvalues are read-only
+    lam = np.ones(dims)
+    lam.setflags(write=False)
+    return ReferenceDistribution(dims=dims, eigenvalues=lam, eval_mode="gamma", log_coeffs=None)
+
+
 def make_reference(dims: int, eigenvalues=None, eval_mode: str = "gamma") -> ReferenceDistribution:
     """Build the reference distribution for an M-dimensional quadratic form.
 
     ``eigenvalues`` defaults to all ones (the matched-covariance case).  The
     gamma mode demands equal eigenvalues; pass ``eval_mode="series"`` to
-    evaluate the general weighted form.
+    evaluate the general weighted form.  The default, all ones on the gamma
+    route, is the one every ``denoise`` call and calibration batch scores
+    against: it is built once per M and shared, with read-only eigenvalues.
     """
     if dims < 1:
         raise ValueError("dims must be >= 1")
+    if eigenvalues is None and eval_mode == "gamma":
+        return _unit_reference(dims)
     if eigenvalues is None:
         lam = np.ones(dims)
     else:

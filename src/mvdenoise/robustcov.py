@@ -137,10 +137,15 @@ def sample_covariance(coeffs) -> CovarianceMatrix:
         raise SingularCovarianceError("rank-deficient coefficient block") from None
 
 
-def _ridge(scatter: np.ndarray) -> float:
-    """The ridge for a possibly singular (M, M) scatter (see the module docstring)."""
-    scale = float(np.trace(scatter)) / scatter.shape[0]
-    return 1e-10 * scale if scale > 0 else 1e-20
+def _ridge(scatter: np.ndarray):
+    """The ridge of each possibly singular (..., M, M) scatter (see the module docstring)."""
+    scale = np.trace(scatter, axis1=-2, axis2=-1) / scatter.shape[-1]
+    return np.where(scale > 0, 1e-10 * scale, 1e-20)
+
+
+def _scatter(x: np.ndarray) -> np.ndarray:
+    # X^T X / n about zero of an (n, M) block, or of each block of a stack
+    return np.matmul(np.swapaxes(x, -1, -2), x) / x.shape[-2]
 
 
 # The two chi-square helpers call the special functions that scipy.stats.chi2
@@ -184,23 +189,52 @@ def _elemental_subsets(rng, n: int, size: int, count: int) -> np.ndarray:
 def _packing(m: int):
     """Index tables of the packed upper triangle of an M x M matrix.
 
-    Returns ``(iu, ju, off, gather, unpack)``: the row and column of each
-    packed entry (``np.triu_indices`` order), its weight in a quadratic form
-    (1 on the diagonal, 2 off it), the flat index of each packed entry in a
-    flattened M x M matrix, and the packed entry each of the M * M flat
-    positions reads.  Built once per M: the C-step runs thousands of times.
+    The packed entries are in ``np.triu_indices`` order: row by row, so row i
+    packs entries (i, i) .. (i, M-1) side by side.  Returns ``(off, gather,
+    unpack)``: each packed entry's weight in a quadratic form (1 on the
+    diagonal, 2 off it), its flat index in a flattened M x M matrix, and
+    the packed entry each of the M * M flat positions reads.  Built once
+    per M: the C-step runs thousands of times.
     """
     iu, ju = np.triu_indices(m)
     packed_at = np.empty((m, m), dtype=np.intp)
     packed_at[iu, ju] = packed_at[ju, iu] = np.arange(iu.size)
-    tables = (iu, ju, np.where(iu == ju, 1.0, 2.0), iu * m + ju, packed_at.ravel())
+    tables = (np.where(iu == ju, 1.0, 2.0), iu * m + ju, packed_at.ravel())
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
+def _step_groups(counts, chunk: int) -> list:
+    """Lay out one C-step over blocks that hold ``counts[b]`` candidates each.
+
+    Each block's candidates are cut into chunks of at most ``chunk``, as a
+    lone block's are, and consecutive chunks are gathered into groups of at
+    most ``chunk`` candidates.  Returns ``(r0, r1, runs)`` per group: its
+    candidate rows, and runs ``(r, b, g, k)`` of g chunks of k candidates
+    from blocks b .. b + g - 1, the first at row r.
+    """
+    if len(counts) == 1 and counts[0] <= chunk:  # one block, one chunk
+        return [(0, counts[0], [(0, 0, 1, counts[0])])]
+    groups, runs, r0, r = [], [], 0, 0
+    for b, count in enumerate(counts):
+        for lo in range(0, count, chunk):
+            k = min(chunk, count - lo)
+            if r + k - r0 > chunk:
+                groups.append((r0, r, runs))
+                runs, r0 = [], r
+            if runs and runs[-1][3] == k and runs[-1][1] + runs[-1][2] == b:
+                runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1, k)
+            else:
+                runs.append((r, b, 1, k))
+            r += k
+    if runs:
+        groups.append((r0, r, runs))
+    return groups
+
+
 class _Concentrator:
-    """Batched concentration steps on one coefficient block.
+    """Batched concentration steps on a stack of same-shape coefficient blocks.
 
     Rows are kept as their packed outer products (the upper triangle of
     x x^T), so the distances of every row under a batch of scatters and the
@@ -209,41 +243,76 @@ class _Concentrator:
     The features and the ones are written into one preallocated array, and
     every index into packed or square matrices comes from the per-M tables
     of :func:`_packing`: a step gathers the inverses' upper triangles with
-    one flat index, and :meth:`unpack` is one gather.
-    Candidate scatters carry the ridge of :func:`_ridge` for the whole
+    one flat index, and unpacks the new scatters with one gather.
+    Candidate scatters carry the ridge of :func:`_ridge` for their whole
     block, so singular elemental subsets (and blocks whose rows are all zero)
     stay usable; the search only needs distance ranks.
+
+    ``x`` is one (n, M) block or a (c, n, M) stack; ``scatter`` is each
+    block's :func:`_scatter`, computed here when not given.  How a matrix
+    product rounds depends on its shape, so a step gives every block's
+    chunk of candidates the product shape a lone block's chunk has
+    (:func:`_step_groups`): runs of equal chunks from consecutive blocks
+    share one 3-D ``np.matmul``, each block a slice of it.  A step inverts
+    all its candidates' scatters in one call, and a group of them shares
+    one partition and one comparison.
     """
 
-    def __init__(self, x: np.ndarray, h: int):
-        n, m = x.shape
-        self.m, self.h = m, h
-        iu, ju, self.off, self.gather, self.unpack_index = _packing(m)
-        self.feats1 = np.empty((n, iu.size + 1))
-        self.feats = self.feats1[:, :-1]
-        # through the transposes, so the inner loop runs down the n rows, not
-        # along the short feature rows
-        np.multiply(x.T[iu], x.T[ju], out=self.feats.T)
-        self.feats1[:, -1] = 1.0
-        self.ridge = _ridge(x.T @ x / n) * np.eye(m)
+    def __init__(self, x: np.ndarray, h: int, scatter: np.ndarray | None = None):
+        x = x if x.ndim == 3 else x[None]
+        c, n, m = x.shape
+        self.n, self.m, self.h = n, m, h
+        self.off, self.gather, self.unpack_index = _packing(m)
+        self.feats1 = np.empty((c, n, self.off.size + 1))
+        self.feats_t = self.feats1[..., :-1].transpose(0, 2, 1)
+        # each channel's rows made contiguous once (a calibration stack is a
+        # strided view), then the products of channel i with channels i..M-1,
+        # packed entries p .. p + M - i - 1, down the rows
+        xt = np.ascontiguousarray(x.transpose(2, 0, 1))
+        p = 0
+        for i in range(m):
+            np.multiply(xt[i], xt[i:], out=self.feats_t[:, p : p + m - i].transpose(1, 0, 2))
+            p += m - i
+        self.feats1[..., -1] = 1.0
+        if scatter is None:
+            scatter = _scatter(x)
+        self.ridge = (_ridge(scatter)[..., None, None] * np.eye(m)).reshape(c, m, m)
 
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        return packed[:, self.unpack_index].reshape(packed.shape[0], self.m, self.m)
+    def step(self, scatters: np.ndarray, counts=None):
+        """One C-step per scatter: the rows of its block closest under it, and their scatter.
 
-    def step(self, scatters: np.ndarray):
-        """One C-step per scatter: the rows closest under it, and their scatter."""
-        n = self.feats.shape[0]
-        chunk = max(1, _STEP_CHUNK_VALUES // n)
+        ``scatters`` is (R, M, M): ``counts[b]`` consecutive candidates of
+        each block b in turn, or all R of the first block by default.
+        """
+        n, h = self.n, self.h
+        if counts is None:
+            counts, ridge = [scatters.shape[0]], self.ridge[0]
+        else:
+            ridge = np.repeat(self.ridge[: len(counts)], counts, axis=0)
+        inv = np.linalg.inv(scatters + ridge)
+        weights = inv.reshape(inv.shape[0], -1)[:, self.gather] * self.off
         subsets = np.empty((scatters.shape[0], n), dtype=bool)
-        packed = np.empty((scatters.shape[0], self.feats.shape[1]))
-        for lo in range(0, scatters.shape[0], chunk):
-            inv = np.linalg.inv(scatters[lo : lo + chunk] + self.ridge)
-            dists = (inv.reshape(inv.shape[0], -1)[:, self.gather] * self.off) @ self.feats.T
-            kth = np.partition(dists, self.h - 1, axis=1)[:, self.h - 1 : self.h]
-            sub = np.less_equal(dists, kth, out=subsets[lo : lo + chunk])
-            sums = sub @ self.feats1
-            packed[lo : lo + chunk] = sums[:, :-1] / sums[:, -1:]
-        return subsets, self.unpack(packed)
+        sums = np.empty((scatters.shape[0], self.feats1.shape[2]))
+        chunk = max(1, _STEP_CHUNK_VALUES // n)
+        for r0, r1, runs in _step_groups(counts, chunk):
+            dists = np.empty((r1 - r0, n))
+            for r, b, g, k in runs:
+                if g == 1:  # a lone block's chunk, without the 3-D views
+                    np.matmul(weights[r : r + k], self.feats_t[b], out=dists[r - r0 : r - r0 + k])
+                else:
+                    out = dists[r - r0 : r - r0 + g * k].reshape(g, k, n)
+                    np.matmul(weights[r : r + g * k].reshape(g, k, -1), self.feats_t[b : b + g], out=out)
+            kth = np.partition(dists, h - 1, axis=1)[:, h - 1 : h]
+            np.less_equal(dists, kth, out=subsets[r0:r1])
+            for r, b, g, k in runs:
+                if g == 1:
+                    np.matmul(subsets[r : r + k], self.feats1[b], out=sums[r : r + k])
+                else:
+                    out = sums[r : r + g * k].reshape(g, k, -1)
+                    np.matmul(subsets[r : r + g * k].reshape(g, k, n), self.feats1[b : b + g], out=out)
+        # each subset's scatter, unpacked: its sums over its size
+        scatters = sums[:, self.unpack_index] / sums[:, -1:]
+        return subsets, scatters.reshape(-1, self.m, self.m)
 
 
 def _elemental_scatters(x: np.ndarray, rng, count: int) -> np.ndarray:
@@ -254,40 +323,46 @@ def _elemental_scatters(x: np.ndarray, rng, count: int) -> np.ndarray:
 
 
 def _best_candidates(conc: _Concentrator, scatters: np.ndarray):
-    # a short burst of C-steps from every start; keep the lowest determinants
-    for _ in range(_N_SHORT_CSTEPS):
-        subsets, scatters = conc.step(scatters)
+    # a short burst of C-steps from every start of every block, (c, t, M, M);
+    # keep each block's lowest determinants
+    c, t, m = scatters.shape[:3]
+    scatters = scatters.reshape(c * t, m, m)
+    for _ in range(_N_SHORT_CSTEPS - 1):
+        scatters = conc.step(scatters, [t] * c)[1]
+    subsets, scatters = conc.step(scatters, [t] * c)
     _, logdets = np.linalg.slogdet(scatters)
-    keep = np.argsort(logdets)[:_N_KEEP]
-    return subsets[keep], scatters[keep]
+    keep = np.argsort(logdets.reshape(c, t), axis=1)[:, :_N_KEEP]
+    blocks = np.arange(c)[:, None]
+    return subsets.reshape(c, t, -1)[blocks, keep], scatters.reshape(c, t, m, m)[blocks, keep]
 
 
-def _nested_candidates(x: np.ndarray, h: int, rng) -> np.ndarray:
-    """Start scatters for a large block from the nested search.
+def _nested_candidates(x: np.ndarray, h: int, rngs) -> np.ndarray:
+    """Start scatters for a stack of large blocks from the nested search.
 
     Rousseeuw & Van Driessen (1999): the rows are split into k disjoint
     random subsets of _SUBSET_ROWS rows; each runs ceil(s / k) of the
     s = :func:`_n_starts` seeds, so that together they still meet the start
     rule, with its h scaled to the subset, and keeps its best candidates;
     those candidates are C-stepped on the merged subsets and the best of
-    them returned.  The split, like the seed count, is drawn from ``rng``
+    them returned, (c, candidates, M, M) for a (c, n, M) stack.  Each
+    block's split, like the seed count, is drawn from its own generator
     and M alone, never from the data, so the estimate stays affine
-    equivariant.
+    equivariant; each generator draws the split, then each subset's seeds.
     """
-    n = x.shape[0]
+    c, n, m = x.shape
     k = min(_MAX_SUBSETS, n // _SUBSET_ROWS)
-    parts = rng.permutation(n)[: k * _SUBSET_ROWS].reshape(k, _SUBSET_ROWS)
+    rows = np.stack([rng.permutation(n)[: k * _SUBSET_ROWS] for rng in rngs])
+    merged = x[np.arange(c)[:, None], rows]
+    parts = merged.reshape(c * k, _SUBSET_ROWS, m)
     h_sub = -(-_SUBSET_ROWS * h // n)  # ceil(h * subset rows / n)
-    per_part = -(-_n_starts(x.shape[1]) // k)
-    starts = []
-    for rows in parts:
-        part = x[rows]
-        starts.append(_best_candidates(_Concentrator(part, h_sub), _elemental_scatters(part, rng, per_part))[1])
+    per_part = -(-_n_starts(m) // k)
+    starts = np.stack([_elemental_scatters(part, rngs[j // k], per_part) for j, part in enumerate(parts)])
+    best = _best_candidates(_Concentrator(parts, h_sub), starts.reshape(c * k, per_part, m, m))[1]
     h_merged = -(-k * _SUBSET_ROWS * h // n)
-    return _best_candidates(_Concentrator(x[parts.ravel()], h_merged), np.concatenate(starts))[1]
+    return _best_candidates(_Concentrator(merged, h_merged), best.reshape(c, -1, m, m))[1]
 
 
-def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
+def mcd_estimate(coeffs, rng):
     """Minimum-covariance-determinant estimate of the noise covariance.
 
     Runs the concentration search on zero-mean coefficient rows, applies the
@@ -305,22 +380,38 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     itself, so the bias is part of the null law the thresholds are taken
     from.  Deterministic for a given ``rng`` state.
 
+    A (c, n, M) stack of same-shape blocks, with a sequence of c
+    generators, returns the list of their c estimates, each equal bit for
+    bit to its block's lone fit with its generator: every block draws from
+    its own generator in a lone fit's order, and its C-steps run with the
+    other blocks' (see :class:`_Concentrator`), so a stack pays the fixed
+    cost of each numpy call once per step, not once per block.  A lone
+    block is the stack of one.  The calibration in :mod:`mvdenoise.denoiser`
+    fits each batch of replications as one stack.
+
     A rank-deficient block (linearly dependent channels, say) has no MCD
     estimate: it returns the block's scatter about zero plus the ridge of
-    :func:`_ridge`, with a warning, and draws nothing from ``rng``.  A
-    rank-deficient minimal-determinant subset gets the same ridge.  A block
-    whose scatter overflows float64 (entries near 1e154 and larger) has no
-    representable covariance and raises ``ValueError``.
+    :func:`_ridge`, with a warning, and draws nothing from its generator.  A
+    rank-deficient minimal-determinant subset gets the same ridge.  Each
+    block of a stack warns on its own, in block order.  A block whose
+    scatter overflows float64 (entries near 1e154 and larger) has no
+    representable covariance and raises ``ValueError``, as does a stack
+    holding one.
 
     Parameters
     ----------
-    coeffs : (n, M) array
-        Coefficient rows, treated as zero-mean draws.
-    rng : numpy.random.Generator
+    coeffs : (n, M) or (c, n, M) array
+        Coefficient rows, treated as zero-mean draws; a stack of c blocks.
+    rng : numpy.random.Generator, or a sequence of c for a stack
         Source for the random elemental subsets.
     """
-    x = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
-    n, m = x.shape
+    x = np.asarray(coeffs, dtype=np.float64)
+    stacked = x.ndim == 3
+    x = x if stacked else np.atleast_2d(x)[None]
+    rngs = list(rng) if stacked else [rng]
+    c, n, m = x.shape
+    if len(rngs) != c:
+        raise ValueError(f"need one generator per block: {c} blocks, {len(rngs)} generators")
     if n < 2 * (m + 1):
         raise ValueError(f"need at least {2 * (m + 1)} rows for M={m}, got {n}")
     if not np.isfinite(x).all():
@@ -329,55 +420,78 @@ def mcd_estimate(coeffs, rng) -> CovarianceMatrix:
     # entries near 1e154 square past the float64 range; rescaling would not
     # help, since the covariance itself would not be representable
     with np.errstate(over="ignore"):
-        full_scatter = x.T @ x / n
+        full_scatter = _scatter(x)
     if not np.isfinite(full_scatter).all():
         raise ValueError("coefficient covariance overflows float64")
     w_full = np.linalg.eigvalsh(full_scatter)
-    if w_full[0] <= 1e-12 * max(w_full[-1], 1e-300):
-        warnings.warn("coefficient block is rank deficient; using ridged scatter", RuntimeWarning)
-        return CovarianceMatrix.from_matrix(full_scatter + _ridge(full_scatter) * np.eye(m))
+    fit = (w_full[:, 0] > 1e-12 * np.maximum(w_full[:, -1], 1e-300)).tolist()
+    rows = [j for j in range(c) if fit[j]]
+    sigmas = iter(_fit_stack(x if len(rows) == c else x[rows], [rngs[j] for j in rows], full_scatter[rows]) if rows else [])
 
+    estimates = []
+    for j in range(c):
+        if not fit[j]:
+            warnings.warn("coefficient block is rank deficient; using ridged scatter", RuntimeWarning)
+            estimates.append(CovarianceMatrix.from_matrix(full_scatter[j] + _ridge(full_scatter[j]) * np.eye(m)))
+            continue
+        sigma = next(sigmas)
+        try:
+            estimates.append(CovarianceMatrix.from_matrix(sigma))
+        except SingularCovarianceError:
+            warnings.warn("minimal-determinant subset is rank deficient; adding ridge", RuntimeWarning)
+            estimates.append(CovarianceMatrix.from_matrix(sigma + _ridge(sigma) * np.eye(m)))
+    return estimates if stacked else estimates[0]
+
+
+def _fit_stack(x: np.ndarray, rngs, full_scatter: np.ndarray) -> list:
+    """The reweighted MCD scatter of each full-rank block of a (c, n, M) stack."""
+    c, n, m = x.shape
     h = (n + m + 1) // 2
-    conc = _Concentrator(x, h)
     if n > 2 * _SUBSET_ROWS:
-        # no full-block subsets yet: empty ones, which no step reproduces
-        scatters = _nested_candidates(x, h, rng)
-        subsets = np.zeros((scatters.shape[0], n), dtype=bool)
+        # no full-block subsets yet: empty ones, which no step reproduces;
+        # the full-block features are built after the subsets' are freed
+        scatters = _nested_candidates(x, h, rngs)
+        subsets = np.zeros(scatters.shape[:2] + (n,), dtype=bool)
+        conc = _Concentrator(x, h, full_scatter)
     else:
-        subsets, scatters = _best_candidates(conc, _elemental_scatters(x, rng, _n_starts(m)))
+        starts = np.empty((c, _n_starts(m), m, m))
+        for xj, rng, out in zip(x, rngs, starts):
+            out[...] = _elemental_scatters(xj, rng, _n_starts(m))
+        conc = _Concentrator(x, h, full_scatter)
+        subsets, scatters = _best_candidates(conc, starts)
 
-    # Iterate the best candidates until every subset is a fixed point.  Only
-    # those whose subset moved in the last step are stepped again: a subset
-    # that maps to itself, with its scatter, keeps doing so.
-    moving = np.arange(scatters.shape[0])
+    # Iterate each block's best candidates until every subset is a fixed
+    # point.  Only those whose subset moved in the last step are stepped
+    # again: a subset that maps to itself, with its scatter, keeps doing so.
+    t = scatters.shape[1]
+    flat_scatters, flat_subsets = scatters.reshape(c * t, m, m), subsets.reshape(c * t, n)
+    moving = np.arange(c * t)
     for _ in range(_MAX_REFINE):
-        new_subsets, scatters[moving] = conc.step(scatters[moving])
-        moved = (new_subsets != subsets[moving]).any(axis=1)
-        subsets[moving] = new_subsets
+        counts = np.bincount(moving // t, minlength=c).tolist() if c > 1 else None
+        new_subsets, flat_scatters[moving] = conc.step(flat_scatters[moving], counts)
+        moved = (new_subsets != flat_subsets[moving]).any(axis=1)
+        flat_subsets[moving] = new_subsets
         moving = moving[moved]
         if not moving.size:
             break
     sign, logdets = np.linalg.slogdet(scatters)
     logdets[sign <= 0] = np.inf
-    best = x[subsets[int(np.argmin(logdets))]]
-    sigma = _consistency_factor(h / n, m) * (best.T @ best) / best.shape[0]
+    sigmas = []
+    for xj, sub, best in zip(x, subsets, np.argmin(logdets, axis=1)):
+        rows = xj[sub[best]]
+        sigma = _consistency_factor(h / n, m) * (rows.T @ rows) / rows.shape[0]
 
-    # One-step reweighting: keep rows whose squared distance under the raw
-    # estimate is plausible for Gaussian data, then rescale.  This recovers
-    # most of the efficiency the h-subset scatter gives up.
-    try:
-        d2 = CovarianceMatrix.from_matrix(sigma).quadratic_form(x)
-    except SingularCovarianceError:
-        pass
-    else:
-        kept = d2 <= _chi2_quantile(_REWEIGHT_MASS, m)
-        if kept.sum() > m:
-            xk = x[kept]
-            sigma = _consistency_factor(_REWEIGHT_MASS, m) * (xk.T @ xk) / kept.sum()
-
-    try:
-        return CovarianceMatrix.from_matrix(sigma)
-    except SingularCovarianceError:
-        warnings.warn("minimal-determinant subset is rank deficient; adding ridge", RuntimeWarning)
-        return CovarianceMatrix.from_matrix(sigma + _ridge(sigma) * np.eye(m))
-
+        # One-step reweighting: keep rows whose squared distance under the
+        # raw estimate is plausible for Gaussian data, then rescale.  This
+        # recovers most of the efficiency the h-subset scatter gives up.
+        try:
+            d2 = CovarianceMatrix.from_matrix(sigma).quadratic_form(xj)
+        except SingularCovarianceError:
+            pass
+        else:
+            kept = d2 <= _chi2_quantile(_REWEIGHT_MASS, m)
+            if kept.sum() > m:
+                xk = xj[kept]
+                sigma = _consistency_factor(_REWEIGHT_MASS, m) * (xk.T @ xk) / kept.sum()
+        sigmas.append(sigma)
+    return sigmas

@@ -659,3 +659,23 @@ def test_baseline_beats_nothing_on_signal():
     noisy, _ = add_noise(s, NoiseSpec(3, 0.0, 0.0), rng=np.random.default_rng(28))
     est = baseline_universal(noisy, DenoiseConfig(), rng=np.random.default_rng(29))
     assert average_snr_db(s.channels, est) > average_snr_db(s.channels, noisy)
+
+
+def test_null_fits_each_batch_with_one_mcd_call(monkeypatch):
+    # the whole batch is one stack, fitted by one call through the name the
+    # pipeline (and a tracer wrapping it) looks up
+    m, n = 2, 512
+    cfg = DenoiseConfig(calibration_reps=150, levels=3)
+    monkeypatch.setattr(denoiser, "_CAL_CHUNK_VALUES", 64 * n * (cfg.window_size(m) + 1) // 2)
+    calls = []
+    fit = denoiser.mcd_estimate
+
+    def counted(coeffs, rng):
+        calls.append((np.shape(coeffs), len(rng)))
+        return fit(coeffs, rng)
+
+    monkeypatch.setattr(denoiser, "mcd_estimate", counted)
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")  # every batch in this process
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    calibrate_thresholds(m, n, cfg)
+    assert calls == [((64, 256, m), 64), ((64, 256, m), 64), ((22, 256, m), 22)]

@@ -200,3 +200,13 @@ def test_gof_test_decisions():
     assert gof_test(5.3, 2.1) is GofDecision.H1_SIGNAL
     with pytest.raises(ValueError):
         gof_test(1.0, 0.0)
+
+
+def test_default_reference_is_built_once_per_dimension():
+    # denoise and every calibration batch score against it
+    ref = make_reference(3)
+    assert make_reference(3) is ref and make_reference(4) is not ref
+    assert np.array_equal(ref.eigenvalues, np.ones(3)) and ref.eval_mode == "gamma"
+    with pytest.raises(ValueError, match="read-only"):
+        ref.eigenvalues[0] = 2.0
+    assert make_reference(3, [1.0, 1.0, 1.0]) is not ref

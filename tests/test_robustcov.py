@@ -271,3 +271,71 @@ def test_chi2_helpers_match_scipy_stats(m):
         q = stats.chi2.ppf(alpha, df=m)
         assert _chi2_quantile(alpha, m) == pytest.approx(q, rel=1e-15, abs=0)
         assert _consistency_factor(alpha, m) == pytest.approx(alpha / stats.chi2.cdf(q, df=m + 2), rel=1e-15, abs=0)
+
+
+def _same_fit(a, b):
+    return np.array_equal(a.sigma, b.sigma) and np.array_equal(a.chol, b.chol)
+
+
+@pytest.mark.parametrize("n", [300, 512, 1024], ids=["elemental", "elemental-chunked", "nested"])
+@pytest.mark.parametrize("m", range(1, 6))
+def test_stacked_fit_equals_lone_fits_bit_for_bit(monkeypatch, n, m):
+    # a calibration batch hands its finest-scale blocks over as a strided
+    # view of one (n, c, M) array; two blocks carry shifted rows, so the
+    # blocks of the stack stop refining at different steps
+    from mvdenoise import robustcov
+
+    rows = np.random.default_rng([21, n, m]).standard_normal((n, 4, m))
+    rows[: n // 4, 1] += 6.0
+    rows[: n // 3, 3] -= 4.0
+    layouts = []
+    step = robustcov._Concentrator.step
+
+    def recorded(self, scatters, counts=None):
+        if counts is not None and len(counts) == 4:
+            layouts.append(counts)
+        return step(self, scatters, counts)
+
+    monkeypatch.setattr(robustcov._Concentrator, "step", recorded)
+    fits = mcd_estimate(rows.transpose(1, 0, 2), [np.random.default_rng([22, j]) for j in range(4)])
+    monkeypatch.undo()
+    assert len(fits) == 4
+    for j, fit in enumerate(fits):
+        assert _same_fit(fit, mcd_estimate(rows[:, j], np.random.default_rng([22, j])))
+    # some refinement step moved one block's candidates while another
+    # block had already converged (at M = 1 every block's candidates are
+    # fixed points after their first refinement step)
+    assert any(0 in counts and max(counts) > 0 for counts in layouts) or m == 1
+
+
+def test_stacked_fit_splits_long_blocks_as_a_lone_fit_does():
+    # past 6553 rows a block's 10 refined candidates no longer fit one
+    # chunk of _STEP_CHUNK_VALUES distances; each block is cut as alone
+    rows = np.random.default_rng(24).standard_normal((7000, 3, 2))
+    fits = mcd_estimate(rows.transpose(1, 0, 2), [np.random.default_rng([25, j]) for j in range(3)])
+    for j, fit in enumerate(fits):
+        assert _same_fit(fit, mcd_estimate(rows[:, j], np.random.default_rng([25, j])))
+
+
+@pytest.mark.parametrize("n", [400, 1024], ids=["elemental", "nested"])
+def test_stacked_fit_ridges_only_its_rank_deficient_block(n):
+    rows = np.random.default_rng([26, n]).standard_normal((n, 3, 2))
+    rows[:, 1, 1] = 2.0 * rows[:, 1, 0]  # linearly dependent channels
+    gens = [np.random.default_rng([27, j]) for j in range(3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = mcd_estimate(rows.transpose(1, 0, 2), gens)
+    assert [str(w.message) for w in caught] == ["coefficient block is rank deficient; using ridged scatter"]
+    scatter = rows[:, 1].T @ rows[:, 1] / n
+    assert np.array_equal(fits[1].sigma, scatter + _ridge(scatter) * np.eye(2))
+    # the deficient block drew nothing from its generator; the others are
+    # their lone fits
+    assert gens[1].random() == np.random.default_rng([27, 1]).random()
+    for j in (0, 2):
+        assert _same_fit(fits[j], mcd_estimate(rows[:, j], np.random.default_rng([27, j])))
+
+
+def test_stacked_fit_needs_one_generator_per_block():
+    rows = np.random.default_rng(28).standard_normal((3, 100, 2))
+    with pytest.raises(ValueError, match="one generator per block"):
+        mcd_estimate(rows, [np.random.default_rng(0)] * 2)
