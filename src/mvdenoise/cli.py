@@ -21,16 +21,17 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import sys
 import warnings
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .denoiser import (
-    _NULL_CACHE,
     DenoiseConfig,
     _pool_map,
     _scale_taus,
@@ -278,10 +279,10 @@ def cmd_gof(args) -> int:
         warnings.simplefilter("always")
         try:
             sigma = mcd_estimate(x, np.random.default_rng(args.seed))
+            tau = float(_scale_taus([x[:, None]], [sigma], key.window_l)[0][0, 0])
         except ValueError as exc:
             raise GeometryError(str(exc)) from exc
         threshold = float(calibrate_thresholds(m, 2 * n, key)[0][0])
-    tau = float(_scale_taus([x[:, None]], [sigma], key.window_l)[0][0, 0])
     decision = gof_test(tau, threshold)
     warned = [str(w.message) for w in caught]
     if args.json:
@@ -297,11 +298,7 @@ def cmd_gof(args) -> int:
 
 
 def _benchmark_cell(params):
-    (signal_name, n, method, rho, snr_spec, balanced, rep_index, master_seed, cfg_dict, null_memo) = params
-    cfg = DenoiseConfig(**cfg_dict)
-    # thresholds the parent calibrated: a worker process, forked or spawned,
-    # never recalibrates them
-    _NULL_CACHE.update(null_memo)
+    (signal_name, n, method, rho, snr_spec, balanced, rep_index, master_seed, cfg) = params
     signal = make_signal(signal_name, n)
     spec = NoiseSpec(signal.n_channels, rho, snr_spec)
     # seed words must be non-negative; the modulus leaves every rho >= 0 unchanged
@@ -350,34 +347,27 @@ def cmd_benchmark(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
 
-    channels = {name: _named_signal(name, args.n).n_channels for name in signals}
-    for m in sorted(set(channels.values())):
-        for rho in rhos:
-            for snr_spec in snrs:
-                spec = NoiseSpec(m, rho, snr_spec)
-                try:
-                    spec.correlation_matrix()
-                    spec.snr_targets()
-                except ValueError as exc:
-                    raise UsageError(f"{exc} (rho={rho:g}, snr={snr_spec}, {m} channels)") from exc
+    channel_counts = sorted({_named_signal(name, args.n).n_channels for name in signals})
+    for m, rho, snr_spec in itertools.product(channel_counts, rhos, snrs):
+        spec = NoiseSpec(m, rho, snr_spec)
+        try:
+            spec.correlation_matrix()
+            spec.snr_targets()
+        except ValueError as exc:
+            raise UsageError(f"{exc} (rho={rho:g}, snr={snr_spec}, {m} channels)") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # only MGWD cells read thresholds; a baseline-only matrix calibrates nothing
-    for m in sorted(set(channels.values())) if "mgwd" in methods else []:
+    for m in channel_counts if "mgwd" in methods else []:
         try:
             calibrate_thresholds(m, args.n, cfg)
         except ValueError:
             pass  # denoise rejects this geometry: its cells record the error
-    null_memo = dict(_NULL_CACHE)
-    cells = []
-    for sig_name in signals:
-        for snr_spec in snrs:
-            balanced = np.isscalar(snr_spec)
-            for rho in rhos:
-                for method in methods:
-                    for rep in range(args.seeds):
-                        cells.append((sig_name, args.n, method, rho, snr_spec, balanced, rep, args.seed, dataclasses.asdict(cfg), null_memo))
+    cells = [
+        (sig_name, args.n, method, rho, snr_spec, np.isscalar(snr_spec), rep, args.seed, cfg)
+        for sig_name, snr_spec, rho, method, rep in itertools.product(signals, snrs, rhos, methods, range(args.seeds))
+    ]
     results = [row for rows in _pool_map(_benchmark_cell, cells) for row in rows]
 
     write_manifest(out_dir, "benchmark", cfg, args.seed, _digest(np.array([float(len(cells))])), extra={"signals": signals, "rhos": rhos, "methods": methods, "snrs": str(snrs), "reps": args.seeds})
@@ -397,8 +387,6 @@ def cmd_benchmark(args) -> int:
 
 def _aggregate_rows(results):
     """Mean output SNR per (signal, method, rho, balanced, SNR spec) with per-channel and Avg columns."""
-    from collections import defaultdict
-
     groups = defaultdict(lambda: defaultdict(list))
     for sig_name, method, rho, balanced, channel, inp, out, rep, status, snr_key in results:
         if not status == "ok":
@@ -434,8 +422,6 @@ def _write_aggregate(out_dir: Path, results) -> None:
 
 def _write_plot_data(out_dir: Path, results) -> None:
     # one two-column file per (signal, method, rho): mean input SNR vs mean output SNR
-    from collections import defaultdict
-
     curves = defaultdict(lambda: defaultdict(list))
     for sig_name, method, rho, balanced, channel, inp, out, rep, status, _ in results:
         if status == "ok":

@@ -18,7 +18,7 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from numbers import Integral, Real
 
@@ -336,26 +336,32 @@ def worker_count(jobs: int) -> int:
     return worker_rule(os.environ, _usable_cores(), jobs, multiprocessing.parent_process() is not None)
 
 
+# Calibration draws from its own stream, never from the caller's rng, so the
+# memo below is a pure function of its key: the order of calls changes no result.
+_CALIBRATION_SEED = 0
+# (channels, input length, config without its seed, window set) -> (thresholds, retention sd)
+_NULL_CACHE: dict = {}
+
+
+def _adopt_memo(memo: dict) -> None:
+    # a pool worker's initializer: a bound _NULL_CACHE.update would fill an unpickled copy under spawn
+    _NULL_CACHE.update(memo)
+
+
 def _pool_map(fn, items):
     """Yield ``fn(item)`` for each of ``items``, in order.
 
     The one place a process pool opens: over :func:`worker_count` workers
-    for ``len(items)`` tasks (the platform's default start method), or
-    in-process when that count is 1.  ``fn`` and every item must pickle.
+    for ``len(items)`` tasks (the platform's default start method), each
+    starting with a copy of this process's threshold memo, or in-process
+    when that count is 1.  ``fn`` and every item must pickle.
     """
     workers = worker_count(len(items))
     if workers == 1:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(workers) as pool:
+    with ProcessPoolExecutor(workers, initializer=_adopt_memo, initargs=(dict(_NULL_CACHE),)) as pool:
         yield from pool.map(fn, items)
-
-
-# Calibration draws from its own stream, never from the caller's rng, so the
-# memo below is a pure function of its key: the order of calls changes no result.
-_CALIBRATION_SEED = 0
-# (channels, input length, calibration settings) -> (thresholds, retention sd)
-_NULL_CACHE: dict = {}
 
 
 def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig):
@@ -376,8 +382,9 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
 
     The null law depends on the geometry and test settings only, never on
     the data or its noise covariance, so one Monte Carlo pool per key (the
-    channel count, the length and the configuration) serves every call: the
-    result is memoised per key.  Each replication is padded by
+    channel count, the length, and the configuration with its window set
+    and no seed) serves every call: the result is memoised per key, and
+    every :func:`_pool_map` worker starts with the memo.  Each replication is padded by
     ``dwt_forward`` exactly as an input of ``n_samples`` rows is, so a
     non-dyadic length is simulated with the mirrored rows its pad
     duplicates, and a geometry ``denoise`` rejects raises the same
@@ -411,7 +418,7 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
             RuntimeWarning,
         )
     window = config.window_size(n_channels)
-    key = (n_channels, n_samples, config.filter_name, config.levels, window, config.p_fa, reps)
+    key = (n_channels, n_samples, replace(config, seed=None, window_l=window))
     if key not in _NULL_CACHE:
         # a geometry denoise rejects raises its ValueError here, before any pool opens
         _decompose(np.zeros((n_samples, 1)), config)

@@ -21,6 +21,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy import special
@@ -106,11 +107,13 @@ def make_reference(dims: int, eigenvalues=None, eval_mode: str = "gamma") -> Ref
     evaluate the general weighted form.  The default, all ones on the gamma
     route, is the one every ``denoise`` call and calibration batch scores
     against: it is built once per M and shared, with read-only eigenvalues.
+    ``dims`` must be an integer >= 1, checked before that cache, which files
+    3.0 and numpy's 3 under one key: a float or a ``bool`` is refused.
     """
-    if dims < 1:
-        raise ValueError("dims must be >= 1")
+    if not isinstance(dims, Integral) or isinstance(dims, bool) or dims < 1:
+        raise ValueError("dims must be an integer >= 1")
     if eigenvalues is None and eval_mode == "gamma":
-        return _unit_reference(dims)
+        return _unit_reference(int(dims))
     if eigenvalues is None:
         lam = np.ones(dims)
     else:
@@ -178,10 +181,10 @@ def _gamma_eval(dist: ReferenceDistribution, t: np.ndarray) -> np.ndarray:
 
 
 def reference_cdf(dist: ReferenceDistribution, t):
-    """CDF of the reference quadratic-form law, F_0(t) in [0, 1] for t >= 0."""
+    """CDF of the reference quadratic-form law, F_0(t) in [0, 1] for t >= 0; NaN is refused."""
     t_arr = np.asarray(t, dtype=np.float64)
-    if (t_arr < 0).any():
-        raise ValueError("t must be nonnegative")
+    if not (t_arr >= 0).all():  # one comparison catches a negative t and NaN
+        raise ValueError("t must be nonnegative, not NaN")
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     if dist.eval_mode == "gamma":
@@ -243,7 +246,8 @@ def gof_test(tau: float, threshold: float) -> GofDecision:
     """Hypothesis decision: noise (H0) when tau < threshold, signal (H1) otherwise.
 
     Ties are classified as signal, so threshold equality retains coefficients.
+    A NaN ``tau`` or ``threshold`` decides nothing, and is refused.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0 or math.isnan(tau):
+        raise ValueError(f"threshold must be positive and neither value NaN, got tau={tau}, threshold={threshold}")
     return GofDecision.H1_SIGNAL if tau >= threshold else GofDecision.H0_NOISE

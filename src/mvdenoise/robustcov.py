@@ -412,6 +412,8 @@ def mcd_estimate(coeffs, rng):
     c, n, m = x.shape
     if len(rngs) != c:
         raise ValueError(f"need one generator per block: {c} blocks, {len(rngs)} generators")
+    if m < 1:
+        raise ValueError("need at least one channel")
     if n < 2 * (m + 1):
         raise ValueError(f"need at least {2 * (m + 1)} rows for M={m}, got {n}")
     if not np.isfinite(x).all():

@@ -16,9 +16,9 @@ def two_worker_rule(monkeypatch):
     monkeypatch.setattr(denoiser, "_usable_cores", lambda: 2)
     opened = []
 
-    def recording_pool(workers):
+    def recording_pool(workers, **kwargs):
         opened.append(workers)
-        return concurrent.futures.ProcessPoolExecutor(workers)
+        return concurrent.futures.ProcessPoolExecutor(workers, **kwargs)
 
     monkeypatch.setattr(denoiser, "ProcessPoolExecutor", recording_pool)
     return opened

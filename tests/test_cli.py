@@ -206,6 +206,34 @@ def test_overflowing_covariance_is_geometry_error(tmp_path, capsys, command):
     assert "coefficient covariance overflows float64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["denoise", "gof"])
+def test_statistic_that_overflows_to_nan_is_geometry_error(tmp_path, capsys, command):
+    # finite rows, most of them tiny and on one line (x2 = 2 x1), the rest
+    # huge: the minimal-determinant subset is the tiny rows, its whitening
+    # factor is about 1e158, and a huge row whitens to +inf and -inf, whose
+    # sum is NaN.  The reference CDF refuses it, so neither command reports
+    # a NaN tau, nor calls it noise
+    rng = np.random.default_rng(8)
+    tiny = 1e-153 * rng.standard_normal(1280)[:, None] * [1.0, 2.0]
+    if command == "gof":
+        x = np.vstack([tiny[:320], 5e152 * rng.standard_normal((192, 2))])
+        extra = []
+    else:
+        # a Haar finest-scale detail sees one pair of samples: pairs with
+        # equal means of +-1e160 keep the finest scale near 1e150, and put
+        # coarse details near 1e160
+        means = np.repeat(np.where(np.arange(384) % 2 == 0, 1e160, -1e160), 2)[:, None]
+        halves = np.repeat(1e150 * rng.standard_normal((384, 2)), 2, axis=0) * np.tile([[1.0], [-1.0]], (384, 1))
+        x = np.vstack([tiny, means + halves])
+        extra = ["--filter", "haar", "--out", str(tmp_path / "den")]
+    p = tmp_path / "x.csv"
+    np.savetxt(p, x, delimiter=",", fmt="%.17g")
+    assert np.isfinite(read_csv(p)).all()
+    assert run_cli([command, str(p), *extra, *FAST]) == 3
+    assert "t must be nonnegative, not NaN" in capsys.readouterr().err
+    assert not (tmp_path / "den" / "denoised.csv").exists()
+
+
 def test_denoise_noise_free_steps_take_the_ridge(tmp_path):
     # an exact MCD fit (all-zero minimal subset) falls back to the ridged estimate
     x = np.zeros((2048, 3))

@@ -1,5 +1,8 @@
 import concurrent.futures
+import multiprocessing
+import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -321,6 +324,42 @@ def test_calibration_in_a_pool_worker_runs_serially(monkeypatch, two_worker_rule
     assert np.array_equal(in_worker[0], serial[0]) and np.array_equal(in_worker[1], serial[1])
 
 
+def memo_held(_):
+    # module-level, so a spawned worker can unpickle it by name
+    return os.getpid(), denoiser._NULL_CACHE
+
+
+def test_pool_workers_start_with_the_callers_memo(monkeypatch, two_worker_rule):
+    # a spawned worker shares no memory with this process: it holds the
+    # caller's thresholds only if the pool hands them over as it starts
+    memo = {
+        (3, 1024, DenoiseConfig(window_l=84)): (np.arange(5.0), np.full(5, 0.5)),
+        (4, 1024, DenoiseConfig(levels=1, window_l=512)): (np.array([2.5]), np.array([0.25])),
+    }
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", memo)
+    spawn = partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", spawn)
+    assert worker_count(2) == 2
+    held = list(denoiser._pool_map(memo_held, [0, 1]))
+    for pid, worker_memo in held:
+        assert pid != os.getpid()
+        assert worker_memo.keys() == memo.keys()
+        for key, (thresholds, sd) in memo.items():
+            assert np.array_equal(worker_memo[key][0], thresholds) and np.array_equal(worker_memo[key][1], sd)
+
+
+def test_memo_key_is_the_config_without_its_seed(monkeypatch):
+    # a config's seed never reaches calibration, and an unset window is the
+    # default one: all three configs share one memo entry
+    cfg = DenoiseConfig(calibration_reps=150, levels=3)
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    first = calibrate_thresholds(2, 512, cfg)
+    for same in (DenoiseConfig(calibration_reps=150, levels=3, seed=9), DenoiseConfig(calibration_reps=150, levels=3, window_l=56)):
+        again = calibrate_thresholds(2, 512, same)
+        assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])
+    assert list(denoiser._NULL_CACHE) == [(2, 512, DenoiseConfig(calibration_reps=150, levels=3, window_l=56))]
+
+
 def folded_tail(pool, q, rng):
     # the pool's upper tail, fed in random contiguous batches of rows
     tail = _UpperTail(*pool.shape, q)
@@ -582,6 +621,19 @@ def test_signal_too_short_rejected():
     cfg = DenoiseConfig(calibration_reps=100)
     with pytest.raises(ValueError, match="too short"):
         denoise(np.random.default_rng(21).standard_normal((32, 2)), cfg)
+
+
+def test_signal_with_no_channels_rejected(monkeypatch):
+    cfg = DenoiseConfig(calibration_reps=100, window_l=56)
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    with pytest.raises(ValueError, match="at least one channel"):
+        denoise(np.zeros((1024, 0)), cfg)
+    with pytest.raises(ValueError, match="at least one channel"):
+        calibrate_thresholds(0, 1024, cfg)
+    # at the default window, 28 per channel, no window is left either
+    with pytest.raises(ValueError):
+        calibrate_thresholds(0, 1024, DenoiseConfig(calibration_reps=100))
 
 
 def test_config_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from mvdenoise import gofstat
 from mvdenoise.gofstat import (
     GofDecision,
     MahalanobisEdf,
@@ -63,6 +64,12 @@ def test_cdf_monotone_and_reaches_tail():
 def test_cdf_rejects_negative_argument():
     with pytest.raises(ValueError):
         reference_cdf(make_reference(2), -0.5)
+    # NaN is refused too, alone or in an array, so no statistic reads it
+    for t in (np.nan, np.array([0.5, np.nan, 2.0])):
+        with pytest.raises(ValueError, match="NaN"):
+            reference_cdf(make_reference(3), t)
+    with pytest.raises(ValueError, match="NaN"):
+        ad_statistic(MahalanobisEdf(sorted_sq_mds=np.array([0.5, 1.0, np.nan]), n=3), make_reference(3))
 
 
 def test_series_with_unequal_weights_matches_monte_carlo():
@@ -200,6 +207,9 @@ def test_gof_test_decisions():
     assert gof_test(5.3, 2.1) is GofDecision.H1_SIGNAL
     with pytest.raises(ValueError):
         gof_test(1.0, 0.0)
+    for tau, threshold in ((1.0, np.nan), (np.nan, 1.0), (np.nan, np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            gof_test(tau, threshold)
 
 
 def test_default_reference_is_built_once_per_dimension():
@@ -210,3 +220,18 @@ def test_default_reference_is_built_once_per_dimension():
     with pytest.raises(ValueError, match="read-only"):
         ref.eigenvalues[0] = 2.0
     assert make_reference(3, [1.0, 1.0, 1.0]) is not ref
+
+
+@pytest.mark.parametrize("dims", [3.0, True, False, 0, -1, "3"])
+def test_make_reference_refuses_a_dimension_that_is_not_a_positive_integer(dims):
+    # refused before the per-M cache, whichever call filled it first: 3.0
+    # and numpy's 3 are one cache key
+    for warm_first in (False, True):
+        gofstat._unit_reference.cache_clear()
+        if warm_first:
+            make_reference(np.int64(3))
+            make_reference(1)
+        with pytest.raises(ValueError, match="dims must be an integer >= 1"):
+            make_reference(dims)
+    ref = make_reference(np.int64(3))
+    assert make_reference(3) is ref and type(ref.dims) is int

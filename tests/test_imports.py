@@ -1,4 +1,5 @@
-"""Every name a package module imports is used by that module, the
+"""Every name a package module imports is used by that module, every
+private module-level name of the package is read somewhere in it, the
 command line does not import scipy.stats, every program name the
 benchmark's tracer reaches into exists, and every Python file of the
 repository parses as the oldest supported Python (``requires-python``).
@@ -58,6 +59,44 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom math import pi, tau\nx = np.zeros(1) * pi + os.sep\n"
     assert unused_imports(source) == {"tau"}
+
+
+def private_names(tree: ast.Module) -> set:
+    # the private names a module binds at its top level; dunders are not private
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unread_private_names(sources) -> set:
+    # a name counts as read where it is loaded, or looked up as an attribute
+    # (module._name) in any of the sources
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return set().union(*(private_names(tree) for tree in trees)) - read
+
+
+def test_every_private_module_name_is_read():
+    package = sorted(Path(mvdenoise.__file__).parent.glob("*.py"))
+    assert unread_private_names([p.read_text(encoding="utf-8") for p in package]) == set()
+
+
+def test_detector_flags_an_unread_private_name():
+    module = "_USED = 1\n_UNREAD, _TOO = 2, 3\n__all__ = []\nPUBLIC = 4\ndef _helper():\n    return _USED\nclass _Kept:\n    pass\n_Kept.x = 5\n"
+    caller = "import module\nmodule._helper()\n_LOCAL: int = 6\n_LOCAL = 7\n"
+    assert unread_private_names([module, caller]) == {"_UNREAD", "_TOO", "_LOCAL"}
+    assert unread_private_names([module]) == {"_UNREAD", "_TOO", "_helper"}
 
 
 def test_cli_does_not_import_scipy_stats():

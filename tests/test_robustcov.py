@@ -136,6 +136,13 @@ def test_mcd_sample_size_floor():
         mcd_estimate(np.random.default_rng(0).standard_normal((5, 2)), np.random.default_rng(0))
 
 
+def test_mcd_refuses_a_block_with_no_channels():
+    with pytest.raises(ValueError, match="at least one channel"):
+        mcd_estimate(np.zeros((1024, 0)), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one channel"):
+        mcd_estimate(np.zeros((2, 1024, 0)), [np.random.default_rng(0), np.random.default_rng(1)])
+
+
 def test_mcd_rank_deficient_takes_the_ridged_scatter():
     # a block with no MCD estimate gives its scatter about zero plus the ridge
     x = np.random.default_rng(0).standard_normal((100, 1)) @ np.array([[1.0, 2.0]])
