@@ -358,19 +358,24 @@ def cmd_benchmark(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # only MGWD cells read thresholds; a baseline-only matrix calibrates nothing
-    for m in channel_counts if "mgwd" in methods else []:
-        try:
-            calibrate_thresholds(m, args.n, cfg)
-        except ValueError:
-            pass  # denoise rejects this geometry: its cells record the error
+    # only MGWD cells read thresholds; a baseline-only matrix calibrates nothing.
+    # Calibration's warnings go into the manifest, as gof's go into its output.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for m in channel_counts if "mgwd" in methods else []:
+            try:
+                calibrate_thresholds(m, args.n, cfg)
+            except ValueError:
+                pass  # denoise rejects this geometry: its cells record the error
+    warned = list(dict.fromkeys(str(w.message) for w in caught))
     cells = [
         (sig_name, args.n, method, rho, snr_spec, np.isscalar(snr_spec), rep, args.seed, cfg)
         for sig_name, snr_spec, rho, method, rep in itertools.product(signals, snrs, rhos, methods, range(args.seeds))
     ]
     results = [row for rows in _pool_map(_benchmark_cell, cells) for row in rows]
 
-    write_manifest(out_dir, "benchmark", cfg, args.seed, _digest(np.array([float(len(cells))])), extra={"signals": signals, "rhos": rhos, "methods": methods, "snrs": str(snrs), "reps": args.seeds})
+    extra = {"signals": signals, "rhos": rhos, "methods": methods, "snrs": str(snrs), "reps": args.seeds, "warnings": warned}
+    write_manifest(out_dir, "benchmark", cfg, args.seed, _digest(np.array([float(len(cells))])), extra=extra)
     with _new_file(out_dir / "results.csv") as f:
         f.write(f"# manifest: {MANIFEST_NAME}\n")
         f.write("signal,method,rho,balanced,channel,input_snr_db,output_snr_db,seed,status\n")
@@ -382,6 +387,8 @@ def cmd_benchmark(args) -> int:
     _write_aggregate(out_dir, results)
     _write_plot_data(out_dir, results)
     print(f"wrote results.csv aggregate.csv and plot data in {out_dir}")
+    for message in warned:
+        print(f"warning: {message}")
     return EXIT_OK
 
 

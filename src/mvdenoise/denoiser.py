@@ -388,7 +388,8 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     ``dwt_forward`` exactly as an input of ``n_samples`` rows is, so a
     non-dyadic length is simulated with the mirrored rows its pad
     duplicates, and a geometry ``denoise`` rejects raises the same
-    ``ValueError`` before any covariance fit.
+    ``ValueError`` before any covariance fit.  A channel count that is not
+    an integer of at least 1 raises ``ValueError`` before anything else.
 
     The child seeds of a key that is not memoised are cut into batches of
     :func:`_batch_reps`, and :func:`_pool_map` runs :func:`_null_tau_pool`
@@ -410,6 +411,8 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     (3, 2048, 1000) calibration, took a median 1.6 s over two workers
     against 2.6 s in-process (6 fresh processes each).
     """
+    if not _is_number(n_channels, Integral) or n_channels < 1:
+        raise ValueError("need at least one channel")
     reps = config.calibration_reps
     if reps < 10.0 / config.p_fa:
         warnings.warn(

@@ -210,26 +210,21 @@ def _step_groups(counts, chunk: int) -> list:
 
     Each block's candidates are cut into chunks of at most ``chunk``, as a
     lone block's are, and consecutive chunks are gathered into groups of at
-    most ``chunk`` candidates.  Returns ``(r0, r1, runs)`` per group: its
-    candidate rows, and runs ``(r, b, g, k)`` of g chunks of k candidates
-    from blocks b .. b + g - 1, the first at row r.
+    most ``chunk`` candidates.  Returns ``(r0, r1, chunks)`` per group: its
+    candidate rows, and each of its chunks as ``(r, b, k)``, k candidates
+    of block b from row r.
     """
-    if len(counts) == 1 and counts[0] <= chunk:  # one block, one chunk
-        return [(0, counts[0], [(0, 0, 1, counts[0])])]
-    groups, runs, r0, r = [], [], 0, 0
+    groups, chunks, r0, r = [], [], 0, 0
     for b, count in enumerate(counts):
         for lo in range(0, count, chunk):
             k = min(chunk, count - lo)
             if r + k - r0 > chunk:
-                groups.append((r0, r, runs))
-                runs, r0 = [], r
-            if runs and runs[-1][3] == k and runs[-1][1] + runs[-1][2] == b:
-                runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1, k)
-            else:
-                runs.append((r, b, 1, k))
+                groups.append((r0, r, chunks))
+                chunks, r0 = [], r
+            chunks.append((r, b, k))
             r += k
-    if runs:
-        groups.append((r0, r, runs))
+    if chunks:
+        groups.append((r0, r, chunks))
     return groups
 
 
@@ -237,8 +232,8 @@ class _Concentrator:
     """Batched concentration steps on a stack of same-shape coefficient blocks.
 
     Rows are kept as their packed outer products (the upper triangle of
-    x x^T), so the distances of every row under a batch of scatters and the
-    scatters of a batch of subsets are each one matrix product.  A last
+    x x^T), so the distances of every row under a chunk of scatters and the
+    scatters of a chunk of subsets are each one matrix product.  A last
     column of ones makes that product return each subset's size as well.
     The features and the ones are written into one preallocated array, and
     every index into packed or square matrices comes from the per-M tables
@@ -248,18 +243,17 @@ class _Concentrator:
     block, so singular elemental subsets (and blocks whose rows are all zero)
     stay usable; the search only needs distance ranks.
 
-    ``x`` is one (n, M) block or a (c, n, M) stack; ``scatter`` is each
-    block's :func:`_scatter`, computed here when not given.  How a matrix
-    product rounds depends on its shape, so a step gives every block's
-    chunk of candidates the product shape a lone block's chunk has
-    (:func:`_step_groups`): runs of equal chunks from consecutive blocks
-    share one 3-D ``np.matmul``, each block a slice of it.  A step inverts
-    all its candidates' scatters in one call, and a group of them shares
-    one partition and one comparison.
+    ``x`` is a (c, n, M) stack, a lone block a stack of one; ``scatter``
+    is each block's :func:`_scatter`, computed here when not given.  How a
+    matrix product rounds depends on its shape, so each block's candidates
+    are cut into the chunks a lone block's are (:func:`_step_groups`), and
+    each chunk runs its own distance product and its own subset-sum
+    product.  What a stack shares is the rest of a step: one inversion of
+    all its candidates' scatters, and one partition and one comparison per
+    group of chunks.
     """
 
     def __init__(self, x: np.ndarray, h: int, scatter: np.ndarray | None = None):
-        x = x if x.ndim == 3 else x[None]
         c, n, m = x.shape
         self.n, self.m, self.h = n, m, h
         self.off, self.gather, self.unpack_index = _packing(m)
@@ -278,38 +272,25 @@ class _Concentrator:
             scatter = _scatter(x)
         self.ridge = (_ridge(scatter)[..., None, None] * np.eye(m)).reshape(c, m, m)
 
-    def step(self, scatters: np.ndarray, counts=None):
+    def step(self, scatters: np.ndarray, counts):
         """One C-step per scatter: the rows of its block closest under it, and their scatter.
 
         ``scatters`` is (R, M, M): ``counts[b]`` consecutive candidates of
-        each block b in turn, or all R of the first block by default.
+        each block b in turn.
         """
         n, h = self.n, self.h
-        if counts is None:
-            counts, ridge = [scatters.shape[0]], self.ridge[0]
-        else:
-            ridge = np.repeat(self.ridge[: len(counts)], counts, axis=0)
-        inv = np.linalg.inv(scatters + ridge)
+        inv = np.linalg.inv(scatters + np.repeat(self.ridge[: len(counts)], counts, axis=0))
         weights = inv.reshape(inv.shape[0], -1)[:, self.gather] * self.off
         subsets = np.empty((scatters.shape[0], n), dtype=bool)
         sums = np.empty((scatters.shape[0], self.feats1.shape[2]))
-        chunk = max(1, _STEP_CHUNK_VALUES // n)
-        for r0, r1, runs in _step_groups(counts, chunk):
+        for r0, r1, chunks in _step_groups(counts, max(1, _STEP_CHUNK_VALUES // n)):
             dists = np.empty((r1 - r0, n))
-            for r, b, g, k in runs:
-                if g == 1:  # a lone block's chunk, without the 3-D views
-                    np.matmul(weights[r : r + k], self.feats_t[b], out=dists[r - r0 : r - r0 + k])
-                else:
-                    out = dists[r - r0 : r - r0 + g * k].reshape(g, k, n)
-                    np.matmul(weights[r : r + g * k].reshape(g, k, -1), self.feats_t[b : b + g], out=out)
+            for r, b, k in chunks:
+                np.matmul(weights[r : r + k], self.feats_t[b], out=dists[r - r0 : r - r0 + k])
             kth = np.partition(dists, h - 1, axis=1)[:, h - 1 : h]
             np.less_equal(dists, kth, out=subsets[r0:r1])
-            for r, b, g, k in runs:
-                if g == 1:
-                    np.matmul(subsets[r : r + k], self.feats1[b], out=sums[r : r + k])
-                else:
-                    out = sums[r : r + g * k].reshape(g, k, -1)
-                    np.matmul(subsets[r : r + g * k].reshape(g, k, n), self.feats1[b : b + g], out=out)
+            for r, b, k in chunks:
+                np.matmul(subsets[r : r + k], self.feats1[b], out=sums[r : r + k])
         # each subset's scatter, unpacked: its sums over its size
         scatters = sums[:, self.unpack_index] / sums[:, -1:]
         return subsets, scatters.reshape(-1, self.m, self.m)
@@ -384,10 +365,11 @@ def mcd_estimate(coeffs, rng):
     generators, returns the list of their c estimates, each equal bit for
     bit to its block's lone fit with its generator: every block draws from
     its own generator in a lone fit's order, and its C-steps run with the
-    other blocks' (see :class:`_Concentrator`), so a stack pays the fixed
-    cost of each numpy call once per step, not once per block.  A lone
-    block is the stack of one.  The calibration in :mod:`mvdenoise.denoiser`
-    fits each batch of replications as one stack.
+    other blocks' (see :class:`_Concentrator`).  Each block keeps a lone
+    fit's matrix products, chunk by chunk, while the blocks of a stack share
+    each step's inversion and each group's partition and comparison.  A
+    lone block is the stack of one.  The calibration in
+    :mod:`mvdenoise.denoiser` fits each batch of replications as one stack.
 
     A rank-deficient block (linearly dependent channels, say) has no MCD
     estimate: it returns the block's scatter about zero plus the ridge of
@@ -456,9 +438,7 @@ def _fit_stack(x: np.ndarray, rngs, full_scatter: np.ndarray) -> list:
         subsets = np.zeros(scatters.shape[:2] + (n,), dtype=bool)
         conc = _Concentrator(x, h, full_scatter)
     else:
-        starts = np.empty((c, _n_starts(m), m, m))
-        for xj, rng, out in zip(x, rngs, starts):
-            out[...] = _elemental_scatters(xj, rng, _n_starts(m))
+        starts = np.stack([_elemental_scatters(xj, rng, _n_starts(m)) for xj, rng in zip(x, rngs)])
         conc = _Concentrator(x, h, full_scatter)
         subsets, scatters = _best_candidates(conc, starts)
 
@@ -469,7 +449,7 @@ def _fit_stack(x: np.ndarray, rngs, full_scatter: np.ndarray) -> list:
     flat_scatters, flat_subsets = scatters.reshape(c * t, m, m), subsets.reshape(c * t, n)
     moving = np.arange(c * t)
     for _ in range(_MAX_REFINE):
-        counts = np.bincount(moving // t, minlength=c).tolist() if c > 1 else None
+        counts = np.bincount(moving // t, minlength=c).tolist()
         new_subsets, flat_scatters[moving] = conc.step(flat_scatters[moving], counts)
         moved = (new_subsets != flat_subsets[moving]).any(axis=1)
         flat_subsets[moving] = new_subsets

@@ -438,6 +438,20 @@ def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch):
     assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
 
 
+def test_benchmark_records_calibration_warnings(tmp_path):
+    # 150 replications are below 10/p_fa: the matrix's calibration warns, and
+    # the message goes into the manifest and onto stdout, not to stderr
+    out = tmp_path / "b"
+    env = dict(os.environ, MVDENOISE_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    cmd = [sys.executable, "-m", "mvdenoise.cli", *bench_args(out, seeds=1, methods="mgwd"), "--snrs", "0"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    message = "calibration_reps=150 is below 10/p_fa=2000; threshold quantile resolution is coarse"
+    assert json.loads((out / MANIFEST_NAME).read_text())["warnings"] == [message]
+    assert f"warning: {message}" in proc.stdout.splitlines()
+
+
 def test_benchmark_opens_its_pools_through_the_denoiser(tmp_path, monkeypatch, two_worker_rule):
     # one pool calibrates the key and one runs the cells; every results.csv
     # byte is the one-worker run's

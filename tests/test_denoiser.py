@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -631,9 +632,13 @@ def test_signal_with_no_channels_rejected(monkeypatch):
         denoise(np.zeros((1024, 0)), cfg)
     with pytest.raises(ValueError, match="at least one channel"):
         calibrate_thresholds(0, 1024, cfg)
-    # at the default window, 28 per channel, no window is left either
-    with pytest.raises(ValueError):
-        calibrate_thresholds(0, 1024, DenoiseConfig(calibration_reps=100))
+    # at the default window, 28 per channel, the channel count is named too,
+    # before the warning on the replication count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for channels in (0, 2.0, True):
+            with pytest.raises(ValueError, match="at least one channel"):
+                calibrate_thresholds(channels, 1024, DenoiseConfig(calibration_reps=100))
 
 
 def test_config_validation():

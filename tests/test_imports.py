@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, every
-private module-level name of the package is read somewhere in it, the
-command line does not import scipy.stats, every program name the
+private module-level name of the package is read somewhere in it, every
+Sphinx cross-reference in a package docstring names something that exists,
+the command line does not import scipy.stats, every program name the
 benchmark's tracer reaches into exists, and every Python file of the
 repository parses as the oldest supported Python (``requires-python``).
 
@@ -61,8 +62,8 @@ def test_detector_flags_an_unused_import():
     assert unused_imports(source) == {"tau"}
 
 
-def private_names(tree: ast.Module) -> set:
-    # the private names a module binds at its top level; dunders are not private
+def defined_names(tree: ast.Module) -> set:
+    # the names a module binds at its top level by def, class or assignment
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -70,7 +71,12 @@ def private_names(tree: ast.Module) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def private_names(tree: ast.Module) -> set:
+    # the private names a module binds at its top level; dunders are not private
+    return {n for n in defined_names(tree) if n.startswith("_") and not n.startswith("__")}
 
 
 def unread_private_names(sources) -> set:
@@ -97,6 +103,62 @@ def test_detector_flags_an_unread_private_name():
     caller = "import module\nmodule._helper()\n_LOCAL: int = 6\n_LOCAL = 7\n"
     assert unread_private_names([module, caller]) == {"_UNREAD", "_TOO", "_LOCAL"}
     assert unread_private_names([module]) == {"_UNREAD", "_TOO", "_helper"}
+
+
+CROSS_REFERENCE = re.compile(r":(?:func|class|meth|mod):`([^`]+)`")
+
+
+def _importable(path: str) -> bool:
+    # a module, or a name reached from the longest importable module prefix
+    parts = path.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def unresolved_references(source: str) -> set:
+    """The targets of the :func:, :class:, :meth: and :mod: references in a
+    module's docstrings that name nothing: neither a name the module binds
+    at its top level, nor a method of one of its classes (alone or as
+    ``Class.method``), nor an importable dotted path.  A leading ``~`` or
+    ``.`` is dropped."""
+    tree = ast.parse(source)
+    local = defined_names(tree) | imported_names(tree)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            local.update(methods + [f"{node.name}.{name}" for name in methods])
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(tree) if isinstance(node, documented)]
+    targets = {target.lstrip("~.") for doc in docs for target in CROSS_REFERENCE.findall(doc)}
+    return {t for t in targets if t not in local and not _importable(t)}
+
+
+@pytest.mark.parametrize("path", sorted(Path(mvdenoise.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_docstring_cross_references_resolve(path):
+    assert unresolved_references(path.read_text(encoding="utf-8")) == set()
+
+
+def test_detector_flags_an_unresolved_reference():
+    source = (
+        '"""Uses :func:`_helper`, :meth:`run`, :class:`~json.JSONDecoder`, :mod:`os.path` and\n'
+        ':func:`os.path.join`, but not :func:`_made_up`."""\n'
+        "import json\n"
+        "def _helper():\n"
+        '    """Calls :meth:`Runner.run`, :meth:`Runner.stop` and :func:`.helper_too`."""\n'
+        "class Runner:\n"
+        "    def run(self):\n"
+        "        pass\n"
+    )
+    assert unresolved_references(source) == {"_made_up", "Runner.stop", "helper_too"}
 
 
 def test_cli_does_not_import_scipy_stats():

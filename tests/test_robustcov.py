@@ -198,12 +198,54 @@ def test_batched_concentration_step_matches_loop():
     h = 152
     a = rng.standard_normal((40, 3, 3))
     scatters = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(3)
-    subsets, new = _Concentrator(x, h).step(scatters)
+    subsets, new = _Concentrator(x[None], h).step(scatters, [40])
     for t, s in enumerate(scatters):
         d = CovarianceMatrix.from_matrix(s).quadratic_form(x)
         rows = np.sort(np.argsort(d)[:h])
         assert np.array_equal(np.flatnonzero(subsets[t]), rows)
         assert np.allclose(new[t], x[rows].T @ x[rows] / h, rtol=1e-12, atol=1e-14)
+
+    # a stack of three blocks, one of them with no candidates: each candidate
+    # is stepped on its own block
+    stack = np.stack([x, rng.standard_normal((300, 3)), 3.0 * rng.standard_normal((300, 3))])
+    counts = [40, 0, 17]
+    owners = np.repeat(np.arange(3), counts)
+    scatters = np.concatenate([scatters, scatters[:17] * 2.0])
+    subsets, new = _Concentrator(stack, h).step(scatters, counts)
+    assert subsets.shape == (57, 300) and new.shape == (57, 3, 3)
+    for t, (s, b) in enumerate(zip(scatters, owners)):
+        d = CovarianceMatrix.from_matrix(s).quadratic_form(stack[b])
+        rows = np.sort(np.argsort(d)[:h])
+        assert np.array_equal(np.flatnonzero(subsets[t]), rows)
+        assert np.allclose(new[t], stack[b][rows].T @ stack[b][rows] / h, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10, 64, 1000])
+def test_step_groups_cut_each_block_as_alone(chunk):
+    from mvdenoise.robustcov import _step_groups
+
+    rng = np.random.default_rng([29, chunk])
+    for _ in range(50):
+        counts = rng.integers(0, 150, size=rng.integers(1, 8))
+        counts[rng.random(counts.size) < 0.3] = 0
+        counts = counts.tolist()
+        groups = _step_groups(counts, chunk)
+        # the groups are contiguous, none larger than a chunk, and each is
+        # tiled by its own chunks in order
+        edges = [0] + [r1 for _, r1, _ in groups]
+        assert [r0 for r0, _, _ in groups] == edges[:-1] and edges[-1] == sum(counts)
+        flat = []
+        for r0, r1, chunks in groups:
+            assert 0 < r1 - r0 <= chunk
+            assert chunks[0][0] == r0 and chunks[-1][0] + chunks[-1][2] == r1
+            flat += chunks
+        # all chunks tile rows 0 .. sum(counts) in order
+        assert [r for r, _, _ in flat] == np.cumsum([0] + [k for _, _, k in flat])[:-1].tolist()
+        # each block's chunks are its range(0, count, chunk) cuts, as alone
+        starts = np.cumsum([0] + counts)
+        for b, count in enumerate(counts):
+            cuts = [(r - starts[b], k) for r, owner, k in flat if owner == b]
+            assert cuts == [(lo, min(chunk, count - lo)) for lo in range(0, count, chunk)]
 
 
 @pytest.mark.parametrize("n", [500, 2000], ids=["elemental", "nested"])
