@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .denoiser import DenoiseConfig, DenoiseReport, baseline_universal, denoise
 from .gofstat import GofDecision, ad_statistic, gof_test, mahalanobis_edf, make_reference
-from .robustcov import CovarianceMatrix, mcd_estimate, sample_covariance
+from .robustcov import CovarianceMatrix, mcd_estimate
 from .siggen import NoiseSpec, TestSignal, add_noise, average_snr_db, make_signal, snr_db
 from .wavelet import WaveletDecomposition, WaveletFilter, dwt_forward, dwt_inverse, get_filter
 
@@ -27,7 +27,6 @@ __all__ = [
     "make_reference",
     "CovarianceMatrix",
     "mcd_estimate",
-    "sample_covariance",
     "NoiseSpec",
     "TestSignal",
     "add_noise",

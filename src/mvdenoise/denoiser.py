@@ -169,6 +169,8 @@ def _scale_taus(details, sigmas, window: int) -> list:
     noise covariance estimates; the result is one (c, B) array per scale.
     ``denoise`` scores its input through here with c = 1, and the null
     through here with c replications, so the two compute one statistic.
+    Finite rows whose whitened values overflow float64 (under an estimate
+    too close to singular for them) raise ``ValueError`` that says so.
     """
     m = details[0].shape[-1]
     dist = make_reference(m)
@@ -177,7 +179,14 @@ def _scale_taus(details, sigmas, window: int) -> list:
     taus = []
     for d in details:
         z = np.einsum("cij,bcj->cbi", ichol, d)
-        lf, l1f = gofstat.clamped_log_cdf(reference_cdf(dist, np.einsum("cbi,cbi->cb", z, z)))
+        try:
+            cdf = reference_cdf(dist, np.einsum("cbi,cbi->cb", z, z))
+        except ValueError as exc:
+            # a sum of squares is NaN only where +inf met -inf in z
+            raise ValueError(
+                "whitened coefficients overflow float64: the covariance estimate is too close to singular for this input"
+            ) from exc
+        lf, l1f = gofstat.clamped_log_cdf(cdf)
         del z  # only the (c, B) logs stay alive while the windows are scored
         taus.append(_tau_from_logs(lf, l1f, window + 1))
     return taus

@@ -117,26 +117,6 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def sample_covariance(coeffs) -> CovarianceMatrix:
-    """Unbiased zero-mean sample covariance X^T X / (n - 1).
-
-    The non-robust test oracle the MCD estimate is checked against; no
-    pipeline route uses it.  Raises :class:`SingularCovarianceError` on
-    rank-deficient input.
-    """
-    x = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
-    if x.ndim != 2:
-        raise ValueError("coefficients must form an (n, M) block")
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two rows")
-    sigma = x.T @ x / (n - 1)
-    try:
-        return CovarianceMatrix.from_matrix(sigma)
-    except SingularCovarianceError:
-        raise SingularCovarianceError("rank-deficient coefficient block") from None
-
-
 def _ridge(scatter: np.ndarray):
     """The ridge of each possibly singular (..., M, M) scatter (see the module docstring)."""
     scale = np.trace(scatter, axis1=-2, axis2=-1) / scatter.shape[-1]
@@ -205,29 +185,6 @@ def _packing(m: int):
     return tables
 
 
-def _step_groups(counts, chunk: int) -> list:
-    """Lay out one C-step over blocks that hold ``counts[b]`` candidates each.
-
-    Each block's candidates are cut into chunks of at most ``chunk``, as a
-    lone block's are, and consecutive chunks are gathered into groups of at
-    most ``chunk`` candidates.  Returns ``(r0, r1, chunks)`` per group: its
-    candidate rows, and each of its chunks as ``(r, b, k)``, k candidates
-    of block b from row r.
-    """
-    groups, chunks, r0, r = [], [], 0, 0
-    for b, count in enumerate(counts):
-        for lo in range(0, count, chunk):
-            k = min(chunk, count - lo)
-            if r + k - r0 > chunk:
-                groups.append((r0, r, chunks))
-                chunks, r0 = [], r
-            chunks.append((r, b, k))
-            r += k
-    if chunks:
-        groups.append((r0, r, chunks))
-    return groups
-
-
 class _Concentrator:
     """Batched concentration steps on a stack of same-shape coefficient blocks.
 
@@ -246,11 +203,10 @@ class _Concentrator:
     ``x`` is a (c, n, M) stack, a lone block a stack of one; ``scatter``
     is each block's :func:`_scatter`, computed here when not given.  How a
     matrix product rounds depends on its shape, so each block's candidates
-    are cut into the chunks a lone block's are (:func:`_step_groups`), and
-    each chunk runs its own distance product and its own subset-sum
-    product.  What a stack shares is the rest of a step: one inversion of
-    all its candidates' scatters, and one partition and one comparison per
-    group of chunks.
+    are cut into the chunks a lone block's are, and each chunk runs a lone
+    fit's operations on its own: the distance product, the partition, the
+    comparison and the subset-sum product.  A stack shares only the one
+    inversion of all its candidates' scatters.
     """
 
     def __init__(self, x: np.ndarray, h: int, scatter: np.ndarray | None = None):
@@ -276,21 +232,25 @@ class _Concentrator:
         """One C-step per scatter: the rows of its block closest under it, and their scatter.
 
         ``scatters`` is (R, M, M): ``counts[b]`` consecutive candidates of
-        each block b in turn.
+        each block b in turn, cut into chunks of ``max(1, _STEP_CHUNK_VALUES
+        // n)`` from the block's first.
         """
         n, h = self.n, self.h
+        chunk = max(1, _STEP_CHUNK_VALUES // n)
         inv = np.linalg.inv(scatters + np.repeat(self.ridge[: len(counts)], counts, axis=0))
         weights = inv.reshape(inv.shape[0], -1)[:, self.gather] * self.off
         subsets = np.empty((scatters.shape[0], n), dtype=bool)
         sums = np.empty((scatters.shape[0], self.feats1.shape[2]))
-        for r0, r1, chunks in _step_groups(counts, max(1, _STEP_CHUNK_VALUES // n)):
-            dists = np.empty((r1 - r0, n))
-            for r, b, k in chunks:
-                np.matmul(weights[r : r + k], self.feats_t[b], out=dists[r - r0 : r - r0 + k])
-            kth = np.partition(dists, h - 1, axis=1)[:, h - 1 : h]
-            np.less_equal(dists, kth, out=subsets[r0:r1])
-            for r, b, k in chunks:
-                np.matmul(subsets[r : r + k], self.feats1[b], out=sums[r : r + k])
+        dists = np.empty((min(chunk, scatters.shape[0]), n))
+        r = 0
+        for b, count in enumerate(counts):
+            for lo in range(0, count, chunk):
+                d = dists[: min(chunk, count - lo)]
+                rows = slice(r, r + len(d))
+                np.matmul(weights[rows], self.feats_t[b], out=d)
+                np.less_equal(d, np.partition(d, h - 1, axis=1)[:, h - 1 : h], out=subsets[rows])
+                np.matmul(subsets[rows], self.feats1[b], out=sums[rows])
+                r += len(d)
         # each subset's scatter, unpacked: its sums over its size
         scatters = sums[:, self.unpack_index] / sums[:, -1:]
         return subsets, scatters.reshape(-1, self.m, self.m)
@@ -365,10 +325,9 @@ def mcd_estimate(coeffs, rng):
     generators, returns the list of their c estimates, each equal bit for
     bit to its block's lone fit with its generator: every block draws from
     its own generator in a lone fit's order, and its C-steps run with the
-    other blocks' (see :class:`_Concentrator`).  Each block keeps a lone
-    fit's matrix products, chunk by chunk, while the blocks of a stack share
-    each step's inversion and each group's partition and comparison.  A
-    lone block is the stack of one.  The calibration in
+    other blocks' (see :class:`_Concentrator`).  Each block runs a lone
+    fit's steps chunk by chunk; the blocks of a stack share only each
+    step's inversion.  A lone block is the stack of one.  The calibration in
     :mod:`mvdenoise.denoiser` fits each batch of replications as one stack.
 
     A rank-deficient block (linearly dependent channels, say) has no MCD

@@ -211,7 +211,7 @@ def test_statistic_that_overflows_to_nan_is_geometry_error(tmp_path, capsys, com
     # finite rows, most of them tiny and on one line (x2 = 2 x1), the rest
     # huge: the minimal-determinant subset is the tiny rows, its whitening
     # factor is about 1e158, and a huge row whitens to +inf and -inf, whose
-    # sum is NaN.  The reference CDF refuses it, so neither command reports
+    # sum is NaN.  The scorer names the overflow, so neither command reports
     # a NaN tau, nor calls it noise
     rng = np.random.default_rng(8)
     tiny = 1e-153 * rng.standard_normal(1280)[:, None] * [1.0, 2.0]
@@ -230,7 +230,7 @@ def test_statistic_that_overflows_to_nan_is_geometry_error(tmp_path, capsys, com
     np.savetxt(p, x, delimiter=",", fmt="%.17g")
     assert np.isfinite(read_csv(p)).all()
     assert run_cli([command, str(p), *extra, *FAST]) == 3
-    assert "t must be nonnegative, not NaN" in capsys.readouterr().err
+    assert "whitened coefficients overflow float64" in capsys.readouterr().err
     assert not (tmp_path / "den" / "denoised.csv").exists()
 
 

@@ -2,8 +2,9 @@
 private module-level name of the package is read somewhere in it, every
 Sphinx cross-reference in a package docstring names something that exists,
 the command line does not import scipy.stats, every program name the
-benchmark's tracer reaches into exists, and every Python file of the
-repository parses as the oldest supported Python (``requires-python``).
+benchmark's tracer reaches into and every output field its harness reads
+exist, and every Python file of the repository parses as the oldest
+supported Python (``requires-python``).
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must occur as a name
@@ -13,15 +14,18 @@ reads, and ``from __future__`` imports bind nothing, so both are skipped.
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mvdenoise
+from mvdenoise.cli import main
 
 MODULES = sorted(p for p in Path(mvdenoise.__file__).parent.glob("*.py") if p.name != "__init__.py")
 REPO = Path(__file__).resolve().parents[1]
@@ -184,6 +188,31 @@ def test_names_the_benchmark_tracer_uses_exist():
                ("make_reference", "gofstat"), ("reference_cdf", "gofstat")]
     missing = [f"{module}.{attr}" for attr, module in needed if not hasattr(importlib.import_module(f"mvdenoise.{module}"), attr)]
     assert missing == []
+
+
+@pytest.mark.filterwarnings("ignore:calibration_reps")
+def test_outputs_the_benchmark_harness_reads_exist(tmp_path, capsys):
+    # perfbench/run.py reads these of a library DenoiseReport, of report.json
+    # and of gof --json; a rename must fail here before it breaks the harness
+    clean = np.outer(np.sin(np.linspace(0.0, 12.0, 256)), [1.0, 2.0, 3.0])
+    x = clean + np.random.default_rng(0).standard_normal(clean.shape)
+    np.savetxt(tmp_path / "clean.csv", clean, delimiter=",")
+    np.savetxt(tmp_path / "noisy.csv", x, delimiter=",")
+    noisy = str(tmp_path / "noisy.csv")
+
+    _, report = mvdenoise.denoise(x, mvdenoise.DenoiseConfig(calibration_reps=150))
+    for name in ("thresholds", "null_retention_sd", "keep_masks", "tau"):
+        assert len(getattr(report, name)) == 5
+    assert report.sigma.sigma.shape == (3, 3) and report.retained_fraction().shape == (5,)
+
+    assert main(["denoise", noisy, "--clean", str(tmp_path / "clean.csv"), "--out", str(tmp_path / "den"), "--calib-reps", "150"]) == 0
+    written = json.loads((tmp_path / "den" / "report.json").read_text())
+    assert {"thresholds", "keep_masks", "sigma", "tau_summary", "snr_average_db"} <= written.keys()
+    assert all({"min", "median", "max"} <= summary.keys() for summary in written["tau_summary"])
+
+    capsys.readouterr()
+    assert main(["gof", noisy, "--json", "--calib-reps", "150"]) == 0
+    assert {"tau", "threshold", "decision"} <= json.loads(capsys.readouterr().out.strip().splitlines()[-1]).keys()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(REPO).as_posix())
