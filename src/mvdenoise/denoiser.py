@@ -173,23 +173,22 @@ def _scale_taus(details, sigmas, window: int) -> list:
     too close to singular for them) raise ``ValueError`` that says so.
     """
     m = details[0].shape[-1]
-    dist = make_reference(m)
     # v -> v^T sigma^{-1} v evaluated as |ichol v|^2, one factor per signal
-    ichol = np.stack([_solve_lower(s.chol, np.eye(m)) for s in sigmas])
-    taus = []
-    for d in details:
-        z = np.einsum("cij,bcj->cbi", ichol, d)
-        try:
-            cdf = reference_cdf(dist, np.einsum("cbi,cbi->cb", z, z))
-        except ValueError as exc:
-            # a sum of squares is NaN only where +inf met -inf in z
-            raise ValueError(
-                "whitened coefficients overflow float64: the covariance estimate is too close to singular for this input"
-            ) from exc
-        lf, l1f = gofstat.clamped_log_cdf(cdf)
-        del z  # only the (c, B) logs stay alive while the windows are scored
-        taus.append(_tau_from_logs(lf, l1f, window + 1))
-    return taus
+    ichol = _solve_lower(np.stack([s.chol for s in sigmas]), np.eye(m))
+    # every scale's squared distances side by side, so the CDF runs once
+    zs = (np.einsum("cij,bcj->cbi", ichol, d) for d in details)
+    sq = np.concatenate([np.einsum("cbi,cbi->cb", z, z) for z in zs], axis=1)
+    try:
+        cdf = reference_cdf(make_reference(m), sq)
+    except ValueError as exc:
+        # a sum of squares is NaN only where +inf met -inf in z
+        raise ValueError(
+            "whitened coefficients overflow float64: the covariance estimate is too close to singular for this input"
+        ) from exc
+    lf, l1f = gofstat.clamped_log_cdf(cdf)
+    del sq, cdf  # only the (c, B) logs stay alive while the windows are scored
+    ends = np.cumsum([d.shape[0] for d in details])[:-1]
+    return [_tau_from_logs(f, g, window + 1) for f, g in zip(np.split(lf, ends, axis=1), np.split(l1f, ends, axis=1))]
 
 
 def _batch_reps(m: int, n_samples: int, config: DenoiseConfig) -> int:

@@ -4,11 +4,12 @@ For zero-mean Gaussian vectors v ~ N_M(0, S), the quadratic map y = v^T S^{-1} v
 sends R^M to the nonnegative reals, and y follows the law of a weighted sum of
 independent squared standard normals, sum_m lam_m z_m^2.  When the quadratic
 form uses the true covariance the weights are all one and the law is exactly
-chi-square with M degrees of freedom; the closed gamma form evaluates that case.
-A power-series evaluation for general weights is kept alongside it: the series
-and the closed form are maintained as independent routes and cross-checked in
-the test suite.  Both evaluate the CDF only, the one function of the law the
-statistic below reads.
+chi-square with M degrees of freedom; the gamma route evaluates that case (and
+equal weights lam, as lam chi2_M) with the closed forms of
+:func:`mvdenoise.chisquare.cdf`, in numpy.  A power-series evaluation for
+general weights is kept alongside it: the series and the closed form are
+maintained as independent routes and cross-checked in the test suite.  Both
+evaluate the CDF only, the one function of the law the statistic below reads.
 
 The deviation between a window's empirical distribution of squared distances
 and the reference CDF is scored with the Anderson-Darling statistic, whose
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy import special
 
+from . import chisquare
 from .robustcov import CovarianceMatrix
 
 _SERIES_MAX_TERMS = 200
@@ -54,10 +55,10 @@ class GofDecision(enum.Enum):
 class ReferenceDistribution:
     """Distribution of the quadratic form sum_m lam_m z_m^2, z_m iid standard normal.
 
-    ``eval_mode`` selects the evaluation route: "gamma" is the closed
-    regularized-incomplete-gamma form (requires equal weights, the case the
-    denoising pipeline uses), "series" is the alternating power series driven
-    by the weight recursion.
+    ``eval_mode`` selects the evaluation route: "gamma" is lam chi2_M in
+    closed form (requires equal weights lam, the case the denoising pipeline
+    uses), "series" is the alternating power series driven by the weight
+    recursion.
     """
 
     dims: int
@@ -147,7 +148,7 @@ def _series_eval(dist: ReferenceDistribution, t: np.ndarray) -> np.ndarray:
     prev_mag = None
     for n in range(_SERIES_MAX_TERMS + 1):
         expo = m_half + n
-        logterm = dist.log_coeffs[n] + expo * logt - special.gammaln(expo + 1.0)
+        logterm = dist.log_coeffs[n] + expo * logt - math.lgamma(expo + 1.0)
         mag = np.exp(logterm)
         total += mag if n % 2 == 0 else -mag
         peak = np.maximum(peak, mag)
@@ -174,10 +175,9 @@ def _series_eval(dist: ReferenceDistribution, t: np.ndarray) -> np.ndarray:
 
 
 def _gamma_eval(dist: ReferenceDistribution, t: np.ndarray) -> np.ndarray:
-    # Equal weights lam: y = lam * chi2_M, evaluated through the regularized
-    # incomplete gamma function.
+    # Equal weights lam: y = lam * chi2_M, in closed form
     lam = float(dist.eigenvalues[0])
-    return special.gammainc(dist.dims / 2.0, t / lam / 2.0)
+    return chisquare.cdf(t / lam, dist.dims)
 
 
 def reference_cdf(dist: ReferenceDistribution, t):

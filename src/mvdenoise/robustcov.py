@@ -34,8 +34,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.linalg import lapack
+
+from . import chisquare
 
 # FAST-MCD search budget: random (M+1)-point seeds (see _n_starts), two
 # concentration steps each, then the best candidates are iterated to a fixed
@@ -102,18 +102,23 @@ class CovarianceMatrix:
 
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """chol^{-1} b for a lower-triangular (M, M) factor and an (M, k) block.
+    """chol^{-1} b for a lower-triangular (..., M, M) factor and an (..., M, k) block.
 
-    Calls LAPACK's dtrtrs as ``scipy.linalg.solve_triangular(chol, b,
-    lower=True)`` calls it for a C-ordered factor (the transposed upper
-    system), so the bits are the same, without that function's validation
-    and batching layers: 2.5 us a call against 23 us for a 3 x 3 factor, on
-    one core of a Xeon.  The factor must be nonsingular and both arrays
-    finite.
+    Forward substitution over the M rows, each one elementwise operation at
+    a time: z_i = (b_i - sum_{j<i} chol_ij z_j) / chol_ii, subtracting in
+    order of j.  So every entry of the result takes the same operations
+    whatever the other factors of a stack or the other columns of b: a
+    stacked solve equals each factor's own solve bit for bit.  The factor
+    must be nonsingular and both arrays finite.
     """
-    z, info = lapack.dtrtrs(chol.T, b, lower=0, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
+    m = chol.shape[-1]
+    z = np.empty(np.broadcast_shapes(chol.shape[:-2], b.shape[:-2]) + b.shape[-2:])
+    for i in range(m):
+        zi = z[..., i, :]
+        np.copyto(zi, b[..., i, :])
+        for j in range(i):
+            zi -= chol[..., i, j, None] * z[..., j, :]
+        zi /= chol[..., i, i, None]
     return z
 
 
@@ -128,20 +133,19 @@ def _scatter(x: np.ndarray) -> np.ndarray:
     return np.matmul(np.swapaxes(x, -1, -2), x) / x.shape[-2]
 
 
-# The two chi-square helpers call the special functions that scipy.stats.chi2
-# wraps (its _cdf and _ppf), so they give the same bits without importing
-# scipy.stats, which costs every CLI process about 0.3 s and 40 MB.
+# The two chi-square helpers take chisquare's port of the routines
+# scipy.stats.chi2 runs (its _cdf and _ppf), so they give scipy's bits.
 @functools.lru_cache(maxsize=None)
 def _consistency_factor(alpha: float, m: int) -> float:
     # Makes the h-subset scatter consistent for the full covariance under
     # pure Gaussian data: alpha / P(chi2_{M+2} <= q_alpha).
-    return alpha / float(special.chdtr(m + 2, _chi2_quantile(alpha, m)))
+    return alpha / chisquare.igam(m / 2.0 + 1.0, _chi2_quantile(alpha, m) / 2.0)
 
 
 @functools.lru_cache(maxsize=None)
 def _chi2_quantile(alpha: float, m: int) -> float:
     # the alpha-quantile of chi2_m
-    return float(2.0 * special.gammaincinv(m / 2.0, alpha))
+    return 2.0 * chisquare.igami(m / 2.0, alpha)
 
 
 def _n_starts(m: int) -> int:

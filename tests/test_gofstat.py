@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,38 @@ def test_gamma_mode_equals_chi2(m):
     dist = make_reference(m)
     grid = np.linspace(0.0, m + 6.0 * math.sqrt(2.0 * m), 64)
     assert np.abs(reference_cdf(dist, grid) - stats.chi2.cdf(grid, df=m)).max() < 1e-10
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gamma_route_matches_incomplete_gamma(m, lam):
+    # the closed forms against the regularized incomplete gamma function, on
+    # a log grid down to where F is far below the clamp and a fine linear
+    # grid through the bulk; F < LOG_CLAMP is clamped before any statistic
+    dist = make_reference(m, [lam] * m)
+    t = np.concatenate([np.geomspace(1e-30, 1e3, 4000), np.linspace(0.0, 60.0, 4001)])
+    f, ref = reference_cdf(dist, t), special.gammainc(m / 2.0, t / lam / 2.0)
+    scored = ref >= gofstat.LOG_CLAMP
+    assert (np.abs(f - ref)[scored] <= 1e-12 * ref[scored]).all()
+    # a value does not depend on what else is evaluated with it
+    assert np.array_equal(reference_cdf(dist, t[::7]), f[::7])
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gamma_route_extreme_arguments(m, lam):
+    # no overflow, no inf * 0: exactly 0 at t = 0 and exactly 1 far out,
+    # without a floating-point warning.  At t = 1e-300 the CDF is 0 to
+    # double precision from M = 3 on; at M = 1 and 2 it is ~1e-150 and ~1e-301.
+    dist = make_reference(m, [lam] * m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = reference_cdf(dist, np.array([0.0, 1e-300, 1e3, 1e300, np.inf]))
+    assert f[0] == 0.0 and (f[2:] == 1.0).all()
+    if m >= 3:
+        assert f[1] == 0.0
+    else:
+        assert f[1] == pytest.approx(special.gammainc(m / 2.0, 1e-300 / lam / 2.0), rel=1e-12, abs=0)
 
 
 def test_cdf_monotone_and_reaches_tail():

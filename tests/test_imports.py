@@ -1,7 +1,7 @@
 """Every name a package module imports is used by that module, every
 private module-level name of the package is read somewhere in it, every
 Sphinx cross-reference in a package docstring names something that exists,
-the command line does not import scipy.stats, every program name the
+the command line neither imports scipy nor needs it, every program name the
 benchmark's tracer reaches into and every output field its harness reads
 exist, and every Python file of the repository parses as the oldest
 supported Python (``requires-python``).
@@ -172,6 +172,51 @@ def test_cli_does_not_import_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# runs the CLI in a process that refuses every scipy import, then prints the
+# scipy modules loaded; argv[1] is the output directory
+_SCIPY_FREE_RUN = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"refused: {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from mvdenoise.cli import main
+
+out = sys.argv[1]
+runs = [
+    ["generate", "heavydoppler3", "--n", "512", "--out", out],
+    ["denoise", f"{out}/noisy.csv", "--clean", f"{out}/clean.csv", "--out", f"{out}/den", "--calib-reps", "100"],
+    ["gof", f"{out}/noisy.csv", "--json", "--calib-reps", "100"],
+    ["benchmark", "--signals", "heavydoppler3", "--snrs", "0", "--rhos", "0", "--methods", "mgwd", "--seeds", "1",
+     "--n", "512", "--calib-reps", "100", "--out", f"{out}/bench"],
+]
+for argv in runs:
+    rc = main(argv)
+    if rc != 0:
+        sys.exit(f"{argv[0]} exited {rc}")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the runtime needs numpy only: every subcommand runs with scipy refused,
+    # and nothing of scipy is loaded at the end
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[-1] == "[]"
+    assert json.loads(next(line for line in lines if line.startswith("{")))["decision"] in ("H0_noise", "H1_signal")
+    for name in ("clean.csv", "noisy.csv", "noise.csv", "den/denoised.csv", "den/report.json", "bench/results.csv"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 def test_names_the_benchmark_tracer_uses_exist():

@@ -11,6 +11,7 @@ from mvdenoise.robustcov import (
     _chi2_quantile,
     _consistency_factor,
     _n_starts,
+    _solve_lower,
     _ridge,
     mcd_estimate,
 )
@@ -63,14 +64,35 @@ def test_quadratic_form_positive_definite():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_quadratic_form_matches_solve_triangular_bits(m):
-    # reference: the scipy.linalg.solve_triangular route quadratic_form took
-    # before it called LAPACK's dtrtrs itself
+    # oracle: the scipy.linalg.solve_triangular route quadratic_form took
+    # before its numpy forward substitution.  They sum in different orders;
+    # over 2000 factors of 300 rows per M = 1..6 the largest relative error
+    # was 1.3e-15, and the bound leaves a margin of 3.
     rng = np.random.default_rng([20, m])
     a = rng.standard_normal((m, m))
     cov = CovarianceMatrix.from_matrix(a @ a.T + 0.5 * np.eye(m))
     v = rng.standard_normal((300, m))
     z = solve_triangular(cov.chol, v.T, lower=True)
-    assert np.array_equal(cov.quadratic_form(v), np.einsum("ij,ij->j", z, z))
+    ref = np.einsum("ij,ij->j", z, z)
+    assert (np.abs(cov.quadratic_form(v) - ref) <= 4e-15 * ref).all()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_stacked_solve_equals_lone_solves_bit_for_bit(m):
+    # _scale_taus solves every signal's factor in one call, and the MCD
+    # reweighting solves a block's rows together: neither another factor of
+    # the stack nor another column of the block changes a result bit
+    rng = np.random.default_rng([22, m])
+    a = rng.standard_normal((5, m, m))
+    chols = np.linalg.cholesky(a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(m))
+    b = rng.standard_normal((5, m, 40))
+    stacked = _solve_lower(chols, b)
+    for chol, rhs, z in zip(chols, b, stacked):
+        assert np.array_equal(_solve_lower(chol, rhs), z)
+        assert all(np.array_equal(_solve_lower(chol, rhs[:, j : j + 1]), z[:, j : j + 1]) for j in range(rhs.shape[1]))
+        assert np.array_equal(_solve_lower(chol, rhs[:, ::-1]), z[:, ::-1])
+    # one right-hand side shared by the stack, as the whitening factors take np.eye
+    assert np.array_equal(_solve_lower(chols, np.eye(m)), np.stack([_solve_lower(c, np.eye(m)) for c in chols]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
