@@ -133,19 +133,19 @@ def _scatter(x: np.ndarray) -> np.ndarray:
     return np.matmul(np.swapaxes(x, -1, -2), x) / x.shape[-2]
 
 
-# The two chi-square helpers take chisquare's port of the routines
-# scipy.stats.chi2 runs (its _cdf and _ppf), so they give scipy's bits.
 @functools.lru_cache(maxsize=None)
 def _consistency_factor(alpha: float, m: int) -> float:
     # Makes the h-subset scatter consistent for the full covariance under
-    # pure Gaussian data: alpha / P(chi2_{M+2} <= q_alpha).
-    return alpha / chisquare.igam(m / 2.0 + 1.0, _chi2_quantile(alpha, m) / 2.0)
+    # pure Gaussian data: alpha / P(chi2_{M+2} <= q_alpha).  With a = M/2
+    # and x = q_alpha/2, P(a+1, x) = P(a, x) - x^a e^-x / Gamma(a+1)
+    # (Abramowitz & Stegun 6.5.21), and P(a, x) = alpha by construction.
+    a, x = m / 2.0, _chi2_quantile(alpha, m) / 2.0
+    return alpha / (alpha - math.exp(a * math.log(x) - x - math.lgamma(a + 1.0)))
 
 
 @functools.lru_cache(maxsize=None)
 def _chi2_quantile(alpha: float, m: int) -> float:
-    # the alpha-quantile of chi2_m
-    return 2.0 * chisquare.igami(m / 2.0, alpha)
+    return chisquare.quantile(alpha, m)
 
 
 def _n_starts(m: int) -> int:

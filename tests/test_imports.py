@@ -1,9 +1,9 @@
 """Every name a package module imports is used by that module, every
 private module-level name of the package is read somewhere in it, every
 Sphinx cross-reference in a package docstring names something that exists,
-the command line neither imports scipy nor needs it, every program name the
-benchmark's tracer reaches into and every output field its harness reads
-exist, and every Python file of the repository parses as the oldest
+the command line neither imports scipy or mpmath nor needs them, every
+program name the benchmark's tracer reaches into and every output field its
+harness reads exist, and every Python file of the repository parses as the oldest
 supported Python (``requires-python``).
 
 No linter ships with the toolchain, so this walks each module's syntax tree:
@@ -174,20 +174,25 @@ def test_cli_does_not_import_scipy_stats():
     assert proc.stdout.strip() == "[]"
 
 
-# runs the CLI in a process that refuses every scipy import, then prints the
-# scipy modules loaded; argv[1] is the output directory
-_SCIPY_FREE_RUN = """
+# runs the CLI in a process that refuses every import of the tests' oracles,
+# scipy and mpmath, then prints the oracle modules loaded; argv[1] is the
+# output directory
+_ORACLE_FREE_RUN = """
 import sys
 
 
-class RefuseScipy:
+def is_oracle(name):
+    return name.split(".")[0] in ("scipy", "mpmath")
+
+
+class RefuseOracles:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if is_oracle(name):
             raise ImportError(f"refused: {name}")
         return None
 
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, RefuseOracles())
 from mvdenoise.cli import main
 
 out = sys.argv[1]
@@ -202,15 +207,15 @@ for argv in runs:
     rc = main(argv)
     if rc != 0:
         sys.exit(f"{argv[0]} exited {rc}")
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if is_oracle(m)))
 """
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # the runtime needs numpy only: every subcommand runs with scipy refused,
-    # and nothing of scipy is loaded at the end
+    # the runtime needs numpy only: every subcommand runs with scipy and
+    # mpmath refused, and nothing of either is loaded at the end
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_FREE_RUN, str(tmp_path)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines[-1] == "[]"

@@ -1,10 +1,11 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
 from scipy.linalg import solve_triangular
 
+from mvdenoise import chisquare
 from mvdenoise.robustcov import (
     CovarianceMatrix,
     SingularCovarianceError,
@@ -317,14 +318,62 @@ def test_nested_subsets_share_at_least_the_rule_starts(monkeypatch, n, m):
     assert sum(counts) >= _n_starts(m)
 
 
+def _true_constants(alpha, m):
+    # the alpha-quantile q of chi2_m and alpha / P(chi2_{m+2} <= q), to 50 digits
+    with mpmath.workdps(50):
+        a, alpha = mpmath.mpf(m) / 2, mpmath.mpf(alpha)
+        x = mpmath.findroot(lambda x: mpmath.gammainc(a, 0, x, regularized=True) - alpha, a)
+        return 2 * x, alpha / mpmath.gammainc(a + 1, 0, x, regularized=True)
+
+
+def _relative_error(value, truth):
+    with mpmath.workdps(50):
+        return abs(mpmath.mpf(value) / truth - 1)
+
+
 @pytest.mark.parametrize("m", range(1, 9))
-def test_chi2_helpers_match_scipy_stats(m):
+def test_chi2_helpers_match_mpmath(m):
     # the reweighting mass, and h / n for the block sizes in use
     alphas = [0.975] + [((n + m + 1) // 2) / n for n in (300, 512, 900, 1024)]
     for alpha in alphas:
-        q = stats.chi2.ppf(alpha, df=m)
-        assert _chi2_quantile(alpha, m) == pytest.approx(q, rel=1e-15, abs=0)
-        assert _consistency_factor(alpha, m) == pytest.approx(alpha / stats.chi2.cdf(q, df=m + 2), rel=1e-15, abs=0)
+        q, factor = _true_constants(alpha, m)
+        assert _relative_error(_chi2_quantile(alpha, m), q) <= 1e-15
+        assert _relative_error(_consistency_factor(alpha, m), factor) <= 2e-15
+
+
+QUANTILE_PS = (0.5, 0.6, 0.75, 0.9, 0.975, 0.99)
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_quantile_matches_mpmath(m):
+    # Beyond M = 10 the rounding of cdf's prefactor x^a e^-x / Gamma(a+1),
+    # formed from terms of size near M, moves F by a few e-15 relative, and
+    # the root with it: up to 2.6e-15 measured at M <= 40
+    bound = 1e-15 if m <= 10 else 4e-15
+    for p in QUANTILE_PS:
+        assert _relative_error(chisquare.quantile(p, m), _true_constants(p, m)[0]) <= bound
+
+
+def test_quantile_takes_a_few_evaluations(monkeypatch):
+    # F(t) - p was evaluated at most 9 times per quantile on this grid
+    excess, calls = chisquare._excess, []
+
+    def counted(*args):
+        calls.append(args)
+        return excess(*args)
+
+    monkeypatch.setattr(chisquare, "_excess", counted)
+    for m in range(1, 41):
+        for p in QUANTILE_PS:
+            calls.clear()
+            chisquare.quantile(p, m)
+            assert len(calls) <= 10, (m, p)
+
+
+@pytest.mark.parametrize("p", [0.4999, 1.0, float("nan")])
+def test_quantile_refuses_p_outside_its_range(p):
+    with pytest.raises(ValueError, match="1/2 <= p < 1"):
+        chisquare.quantile(p, 3)
 
 
 def _same_fit(a, b):
