@@ -291,44 +291,33 @@ class _UpperTail:
 
 # the count of worker processes, when set; see worker_rule
 _THREADS_VAR = "MVDENOISE_THREADS"
-# threads each process's BLAS may run, by the BLAS libraries numpy links
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _positive_int(text: str) -> int | None:
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
 
 
 def worker_rule(environ, cores: int, jobs: int, in_worker: bool) -> int:
-    """Worker processes for ``jobs`` independent tasks, from the environment alone.
+    """Worker processes for ``jobs`` independent tasks, from the environment and the cores.
 
     The one worker rule: calibration, and so ``denoise`` and ``gof``, and
     the ``benchmark`` matrix all follow it.  ``MVDENOISE_THREADS``, when set
     in ``environ``, is the count, and must be an integer >= 1
-    (``ValueError`` otherwise).  Unset, each process may run as many BLAS
-    threads as the largest of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
-    and ``MKL_NUM_THREADS`` that is set, and ``cores`` divided by that many
-    processes fit; with none of them set the BLAS may use every core, and
-    the count is 1.  The count is then capped at ``cores`` and at ``jobs``:
-    a pool starts all its processes at once, and a worker beyond either has
-    no core or no task.  A process that is itself a worker (``in_worker``)
-    always gets 1, so pools never nest.
+    (``ValueError`` otherwise); unset, the count is ``cores``, whatever the
+    BLAS thread variables say (:func:`calibrate_thresholds` has timings).
+    The count is capped at ``cores`` and at ``jobs``: a pool starts all its
+    processes at once, and a worker beyond either has no core or no task.
+    A process that is itself a worker (``in_worker``) always gets 1, so
+    pools never nest.
     """
     if in_worker:
         return 1
     text = environ.get(_THREADS_VAR)
-    if text is not None:
-        workers = _positive_int(text)
-        if workers is None:
-            raise ValueError(f"{_THREADS_VAR} must be an integer >= 1, got {text!r}")
+    if text is None:
+        workers = cores
     else:
-        blas = [_positive_int(environ[v]) for v in _BLAS_THREAD_VARS if v in environ]
-        blas = [b for b in blas if b is not None]
-        workers = cores // max(blas) if blas else 1
+        try:
+            workers = int(text)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{_THREADS_VAR} must be an integer >= 1, got {text!r}")
     return max(1, min(workers, cores, jobs))
 
 
@@ -397,7 +386,9 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     non-dyadic length is simulated with the mirrored rows its pad
     duplicates, and a geometry ``denoise`` rejects raises the same
     ``ValueError`` before any covariance fit.  A channel count that is not
-    an integer of at least 1 raises ``ValueError`` before anything else.
+    an integer of at least 1, or a length that is not an integer (a float
+    or a ``bool`` included), raises ``ValueError`` before anything else,
+    memo lookup included.
 
     The child seeds of a key that is not memoised are cut into batches of
     :func:`_batch_reps`, and :func:`_pool_map` runs :func:`_null_tau_pool`
@@ -414,13 +405,18 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     29 to 30 MB (153.5 MB).  The batches are the same at every worker
     count, and are folded in order, so the result is too; other batch cuts
     would move the pooled statistics by up to 1.5e-12 (see
-    :func:`_null_tau_pool`).  On 2 cores with one BLAS thread each, a first
-    default 2048 x 3 ``denoise`` call, nearly all of it the
-    (3, 2048, 1000) calibration, took a median 1.6 s over two workers
-    against 2.6 s in-process (6 fresh processes each).
+    :func:`_null_tau_pool`).  On 2 cores a fresh (3, 2048, 1000)
+    calibration took 1.74 to 2.43 s over two workers and 2.85 to 3.67 s on
+    one, with the three BLAS thread variables unset or at 1 (4 runs each).
+    With none of them and no ``MVDENOISE_THREADS`` set, a cold CLI
+    ``denoise`` of a default 2048 x 3 input, nearly all of it that
+    calibration, took a median 2.22 s on the two workers of
+    :func:`worker_rule`, against 3.92 s on the one an earlier rule gave.
     """
     if not _is_number(n_channels, Integral) or n_channels < 1:
         raise ValueError("need at least one channel")
+    if not _is_number(n_samples, Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     reps = config.calibration_reps
     if reps < 10.0 / config.p_fa:
         warnings.warn(

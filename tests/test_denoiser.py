@@ -1,6 +1,8 @@
 import concurrent.futures
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from functools import partial
@@ -32,9 +34,10 @@ from mvdenoise.robustcov import CovarianceMatrix, _solve_lower
 from mvdenoise.siggen import NoiseSpec, add_noise, average_snr_db, make_signal
 from mvdenoise.wavelet import dwt_forward, dwt_inverse, get_filter
 
-from conftest import ONE_BLAS_THREAD
-
 pytestmark = pytest.mark.filterwarnings("ignore:calibration_reps")
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ONE_BLAS_THREAD = dict.fromkeys(BLAS_THREAD_VARS, "1")
 
 
 def equicorr(m, rho):
@@ -251,12 +254,12 @@ def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
 @pytest.mark.parametrize(
     "environ, cores, jobs, in_worker, expected",
     [
-        ({}, 8, 15, False, 1),  # no BLAS limit: the BLAS may use every core
+        ({}, 8, 15, False, 8),  # a worker per core
         (ONE_BLAS_THREAD, 2, 15, False, 2),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 15, False, 8),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, 15, False, 2),  # the largest one set
-        ({"OMP_NUM_THREADS": "2"}, 2, 15, False, 1),
-        ({"OMP_NUM_THREADS": "abc"}, 8, 15, False, 1),  # not a limit
+        ({"OMP_NUM_THREADS": "4"}, 8, 15, False, 8),  # the BLAS variables never divide the cores
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, 15, False, 8),
+        ({"OMP_NUM_THREADS": "2"}, 2, 15, False, 2),
+        ({"OMP_NUM_THREADS": "abc"}, 8, 15, False, 8),  # nor are they read: no error
         (ONE_BLAS_THREAD, 8, 3, False, 3),  # no more workers than batches
         (ONE_BLAS_THREAD, 8, 15, True, 1),  # a pool worker never opens a pool
         ({"MVDENOISE_THREADS": "1", **ONE_BLAS_THREAD}, 8, 15, False, 1),
@@ -274,6 +277,35 @@ def test_worker_rule(environ, cores, jobs, in_worker, expected):
 def test_worker_rule_rejects_a_bad_count(value):
     with pytest.raises(ValueError, match="MVDENOISE_THREADS"):
         worker_rule({"MVDENOISE_THREADS": value}, 8, 15, False)
+
+
+def test_default_environment_gets_a_worker_per_core(monkeypatch, two_worker_rule):
+    # no MVDENOISE_THREADS and no BLAS variable: what a user gets by default
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert worker_count(15) == 2
+
+
+_CALIBRATION_DIGEST = """
+import hashlib
+from mvdenoise.denoiser import DenoiseConfig, calibrate_thresholds, worker_count
+thresholds, sd = calibrate_thresholds(3, 1024, DenoiseConfig(calibration_reps=150))
+print(worker_count(2), hashlib.sha256(thresholds.tobytes() + sd.tobytes()).hexdigest())
+"""
+
+
+def test_calibration_bits_do_not_depend_on_blas_variables():
+    # fresh processes, each with the worker rule's default count: the BLAS
+    # may run a thread per core in one and one thread in the other
+    base = {k: v for k, v in os.environ.items() if k not in (*BLAS_THREAD_VARS, "MVDENOISE_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(sys.path)
+    runs = []
+    for extra in ({}, ONE_BLAS_THREAD):
+        proc = subprocess.run([sys.executable, "-c", _CALIBRATION_DIGEST], env={**base, **extra}, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split())
+    assert runs[0] == runs[1]
+    assert runs[0][0] == str(min(2, denoiser._usable_cores()))  # the pool path, wherever there are two cores
 
 
 @pytest.mark.parametrize(
@@ -643,6 +675,20 @@ def test_signal_with_no_channels_rejected(monkeypatch):
         for channels in (0, 2.0, True):
             with pytest.raises(ValueError, match="at least one channel"):
                 calibrate_thresholds(channels, 1024, DenoiseConfig(calibration_reps=100))
+
+
+def test_calibration_refuses_a_length_that_is_not_an_integer(monkeypatch):
+    # refused before the memo lookup, where 512.0 would find the key of 512
+    cfg = DenoiseConfig(calibration_reps=100, window_l=56)
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    for _ in range(2):  # on an empty memo, then on one holding the key of 512
+        for n in (512.0, True, "512"):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                calibrate_thresholds(2, n, cfg)
+        thresholds, sd = calibrate_thresholds(2, 512, cfg)
+    again = calibrate_thresholds(2, np.int64(512), cfg)  # numpy integers are integers
+    assert np.array_equal(again[0], thresholds) and np.array_equal(again[1], sd)
 
 
 def test_config_validation():
