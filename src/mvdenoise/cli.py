@@ -167,7 +167,8 @@ _CONFIG_FLAGS = {
 
 
 def _add_config_flags(p: argparse.ArgumentParser, flags=tuple(_CONFIG_FLAGS)) -> None:
-    # every subcommand draws from --seed; its default 0 makes each run reproducible
+    # generate and benchmark draw their noise from --seed, and its default 0
+    # makes each run reproducible; no denoise or gof output depends on it
     p.add_argument("--seed", type=_seed, default=0)
     for flag in flags:
         field, kind = _CONFIG_FLAGS[flag]

@@ -212,9 +212,10 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     Scores one replication per entry of ``child_seeds``, all as one batch,
     and returns one (replications, values per replication) array per scale.
     The batch's finest-scale blocks are fitted as one stack, by one
-    :func:`~mvdenoise.robustcov.mcd_estimate` call with each replication's
-    generator: each estimate equals that block's lone fit bit for bit, and
-    the stack shares each C-step's numpy calls across the batch.
+    :func:`~mvdenoise.robustcov.mcd_estimate` call: each estimate equals
+    that block's lone fit bit for bit, and the stack shares each C-step's
+    inversion across the batch.  The fit draws nothing, so a replication's
+    generator serves its noise alone.
     A block no wider than the window is one shared window per replication:
     it contributes a single value each.  Replication r draws from the
     generator seeded by ``child_seeds[r]`` alone, but the rounding of its
@@ -406,12 +407,11 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     count, and are folded in order, so the result is too; other batch cuts
     would move the pooled statistics by up to 1.5e-12 (see
     :func:`_null_tau_pool`).  On 2 cores a fresh (3, 2048, 1000)
-    calibration took 1.74 to 2.43 s over two workers and 2.85 to 3.67 s on
+    calibration took 0.96 to 1.15 s over two workers and 1.64 to 2.28 s on
     one, with the three BLAS thread variables unset or at 1 (4 runs each).
     With none of them and no ``MVDENOISE_THREADS`` set, a cold CLI
-    ``denoise`` of a default 2048 x 3 input, nearly all of it that
-    calibration, took a median 2.22 s on the two workers of
-    :func:`worker_rule`, against 3.92 s on the one an earlier rule gave.
+    ``denoise`` of a default 2048 x 3 input, most of it that calibration,
+    took 1.34 to 1.69 s on the two workers of :func:`worker_rule` (6 runs).
     """
     if not _is_number(n_channels, Integral) or n_channels < 1:
         raise ValueError("need at least one channel")
@@ -472,8 +472,9 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None):
     coefficient at scale k survives iff the statistic of its window reaches
     the calibrated threshold T_k (ties retained).  Thresholds come from the
     plug-in null of :func:`calibrate_thresholds`, shared by every call with
-    the same channel count, length and settings.  Deterministic for a
-    fixed config seed or caller rng.
+    the same channel count, length and settings.  The result depends on
+    the input and the settings only: the covariance fit draws nothing, so
+    neither ``config.seed`` nor ``rng`` changes it.
     """
     config, (n, m), rng, dec = _front_end(x, config, rng)
     with warnings.catch_warnings(record=True) as caught:

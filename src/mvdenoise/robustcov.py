@@ -1,29 +1,23 @@
 """Noise covariance estimation from wavelet coefficients.
 
-The robust estimator is the minimum covariance determinant, computed with the
-concentration-step search (random elemental subsets, a short burst of C-steps,
-then full refinement of the best candidates).  Blocks of more than 600 rows
-run the first two phases nested, as in FAST-MCD (Rousseeuw & Van Driessen
-1999, Technometrics 41): the seeds are spread over up to five disjoint random
-subsets of 300 rows, and the best candidates of each are C-stepped on the
-merged subsets before the full refinement.  Because detail coefficients are
+The robust estimator is the minimum covariance determinant, computed by
+concentration steps (C-steps, Rousseeuw & Van Driessen 1999, Technometrics
+41) from a few deterministic starts, as in DetMCD (Hubert, Rousseeuw &
+Verdonck 2012, JCGS 21).  DetMCD's own starts are coordinate-wise; these
+are affine equivariant, so the estimate is too (see
+:meth:`_Concentrator.starts`).  Each start is C-stepped to a fixed point,
+and the one of least determinant wins.  There is no random search: the
+estimate is a function of the block alone.  Because detail coefficients are
 zero-mean under the additive Gaussian noise model, all scatter matrices here
 are taken about zero: no location is estimated.
 
 One ridge rule, :func:`_ridge`, serves every scatter that may be singular:
 a tiny fraction of its mean variance, or a fixed floor for a zero scatter.
-The search adds it to every candidate scatter, and :func:`mcd_estimate`
+The C-steps add it to every candidate scatter, and :func:`mcd_estimate`
 owns both fallbacks that keep a degenerate block usable, each with a
 warning: a rank-deficient block gives its ridged scatter, and a
 rank-deficient final estimate (an exact fit: most rows zero, say) gets the
 ridge.  Every caller, ``denoise``, its null and ``gof`` alike, takes them.
-
-The number of random starts follows the same paper's rule: with a fraction
-eps of outlying rows, m random (M+1)-row seeds include at least one clean
-seed with probability 1 - (1 - (1 - eps)^(M+1))^m.  The search draws the
-smallest m that makes this at least 0.99 at eps = 0.5, capped at the paper's
-general-dimension budget of 500 (:func:`_n_starts`): 17, 35, 72, 146 and
-293 starts at M = 1..5, and 500 from M = 6 on.
 """
 
 from __future__ import annotations
@@ -37,18 +31,8 @@ import numpy as np
 
 from . import chisquare
 
-# FAST-MCD search budget: random (M+1)-point seeds (see _n_starts), two
-# concentration steps each, then the best candidates are iterated to a fixed
-# point.
-_OUTLIER_FRACTION = 0.5
-_START_CONFIDENCE = 0.99
-_MAX_STARTS = 500
-_N_SHORT_CSTEPS = 2
-_N_KEEP = 10
-# Blocks of more than 2 * _SUBSET_ROWS rows run the seeds on up to
-# _MAX_SUBSETS disjoint random subsets of _SUBSET_ROWS rows (nested search).
-_SUBSET_ROWS = 300
-_MAX_SUBSETS = 5
+# Tyler shape iterations behind the last start (see _Concentrator.starts)
+_TYLER_STEPS = 3
 _MAX_REFINE = 100
 _REWEIGHT_MASS = 0.975
 # candidates per batched C-step, sized so the distance matrix stays in cache
@@ -148,27 +132,6 @@ def _chi2_quantile(alpha: float, m: int) -> float:
     return chisquare.quantile(alpha, m)
 
 
-def _n_starts(m: int) -> int:
-    """Random starts for M channels: the smallest count s with
-    1 - (1 - (1 - eps)^(M+1))^s >= 0.99, capped at 500 (Rousseeuw & Van
-    Driessen 1999)."""
-    clean_seed = (1.0 - _OUTLIER_FRACTION) ** (m + 1)
-    s = math.ceil(math.log(1.0 - _START_CONFIDENCE) / math.log1p(-clean_seed))
-    return min(s, _MAX_STARTS)
-
-
-def _elemental_subsets(rng, n: int, size: int, count: int) -> np.ndarray:
-    # `count` uniformly random `size`-subsets of range(n): iid index tuples,
-    # redrawing every tuple that repeats an index.
-    idx = rng.integers(0, n, size=(count, size))
-    while True:
-        srt = np.sort(idx, axis=1)
-        dup = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        if not dup.any():
-            return idx
-        idx[dup] = rng.integers(0, n, size=(int(dup.sum()), size))
-
-
 @functools.lru_cache(maxsize=None)
 def _packing(m: int):
     """Index tables of the packed upper triangle of an M x M matrix.
@@ -201,8 +164,8 @@ class _Concentrator:
     of :func:`_packing`: a step gathers the inverses' upper triangles with
     one flat index, and unpacks the new scatters with one gather.
     Candidate scatters carry the ridge of :func:`_ridge` for their whole
-    block, so singular elemental subsets (and blocks whose rows are all zero)
-    stay usable; the search only needs distance ranks.
+    block, so singular subsets (an exact fit on zero rows, say) stay usable;
+    the search only needs distance ranks.
 
     ``x`` is a (c, n, M) stack, a lone block a stack of one; ``scatter``
     is each block's :func:`_scatter`, computed here when not given.  How a
@@ -210,7 +173,8 @@ class _Concentrator:
     are cut into the chunks a lone block's are, and each chunk runs a lone
     fit's operations on its own: the distance product, the partition, the
     comparison and the subset-sum product.  A stack shares only the one
-    inversion of all its candidates' scatters.
+    inversion of all its candidates' scatters.  :meth:`starts` gives each
+    block's first candidates.
     """
 
     def __init__(self, x: np.ndarray, h: int, scatter: np.ndarray | None = None):
@@ -259,52 +223,62 @@ class _Concentrator:
         scatters = sums[:, self.unpack_index] / sums[:, -1:]
         return subsets, scatters.reshape(-1, self.m, self.m)
 
+    def starts(self, scatter: np.ndarray) -> np.ndarray:
+        """Four affine-equivariant start scatters of each block, (c, 4, M, M).
 
-def _elemental_scatters(x: np.ndarray, rng, count: int) -> np.ndarray:
-    # scatters about zero of `count` random (M+1)-row subsets of x
-    m = x.shape[1]
-    sub = x[_elemental_subsets(rng, x.shape[0], m + 1, count)]
-    return np.einsum("thi,thj->tij", sub, sub) / (m + 1)
+        ``scatter`` is each block's (full-rank) scatter S about zero.  With
+        z = L^{-1} x for the Cholesky factor L of S, each start is L T L^T
+        for an orthogonally equivariant shape T of the whitened rows, so the
+        start of X A^T is A S A^T for the start S of X.  Each T here is a
+        weighted scatter of z, whose image L T L^T is the same weighted
+        scatter of x, and each weight is a function of the rows' distances
+        d = |z|^2 = x^T S^{-1} x: the starts need no explicit whitening.
+        They are, in order:
 
+        - S itself (T = I), the classical scatter;
+        - the spatial-sign scatter (Visuri, Koivunen & Oja 2000),
+          T = (M/n) sum z z^T / |z|^2;
+        - the scatter of the n // 2 rows with the smallest |z|, ties
+          included;
+        - Tyler's (1987) shape about zero after ``_TYLER_STEPS`` iterations
+          of T <- (M/n) sum z z^T / (z^T T^{-1} z) from T = I, whose first
+          iteration is the spatial sign.
 
-def _best_candidates(conc: _Concentrator, scatters: np.ndarray):
-    # a short burst of C-steps from every start of every block, (c, t, M, M);
-    # keep each block's lowest determinants
-    c, t, m = scatters.shape[:3]
-    scatters = scatters.reshape(c * t, m, m)
-    for _ in range(_N_SHORT_CSTEPS - 1):
-        scatters = conc.step(scatters, [t] * c)[1]
-    subsets, scatters = conc.step(scatters, [t] * c)
-    _, logdets = np.linalg.slogdet(scatters)
-    keep = np.argsort(logdets.reshape(c, t), axis=1)[:, :_N_KEEP]
-    blocks = np.arange(c)[:, None]
-    return subsets.reshape(c, t, -1)[blocks, keep], scatters.reshape(c, t, m, m)[blocks, keep]
+        A row at distance 0, or below the smallest normal float, gets
+        weight 0 rather than 1/0, and the spatial-sign and Tyler sums run
+        over the other n' rows, with M/n' for M/n.  Those rows span the
+        block (the rest are too small to count in the rank check of
+        :func:`mcd_estimate`), so these starts have full rank and the scale
+        of S.  The half start is zero when half the rows are: the ridge of
+        the C-steps keeps it usable.  Each product runs per block with a
+        lone block's shapes, so a stack's starts equal its lone blocks' bit
+        for bit, as its C-steps do.
+        """
+        n = self.n
+        d = self._distances(scatter)
+        near = d <= np.partition(d, n // 2 - 1, axis=1)[:, n // 2 - 1 : n // 2]
+        half = self._weighted(near / np.count_nonzero(near, axis=1)[:, None])
+        sign = shape = self._tyler_step(d)
+        for _ in range(_TYLER_STEPS - 1):
+            shape = self._tyler_step(self._distances(shape))
+        return np.stack([scatter, sign, half, shape], axis=1)
 
+    def _distances(self, scatter: np.ndarray) -> np.ndarray:
+        # x^T S^{-1} x of each row of each block, (c, n), under its (c, M, M) scatter
+        inv = np.linalg.inv(scatter)
+        packed = inv.reshape(len(inv), -1)[:, self.gather] * self.off
+        return np.matmul(packed[:, None], self.feats_t)[:, 0]
 
-def _nested_candidates(x: np.ndarray, h: int, rngs) -> np.ndarray:
-    """Start scatters for a stack of large blocks from the nested search.
+    def _tyler_step(self, d: np.ndarray) -> np.ndarray:
+        # (M/n') sum x x^T / d over the n' rows of each block whose d is a positive normal float
+        kept = d >= np.finfo(d.dtype).tiny
+        w = np.divide(self.m / np.count_nonzero(kept, axis=1)[:, None], d, out=np.zeros_like(d), where=kept)
+        return self._weighted(w)
 
-    Rousseeuw & Van Driessen (1999): the rows are split into k disjoint
-    random subsets of _SUBSET_ROWS rows; each runs ceil(s / k) of the
-    s = :func:`_n_starts` seeds, so that together they still meet the start
-    rule, with its h scaled to the subset, and keeps its best candidates;
-    those candidates are C-stepped on the merged subsets and the best of
-    them returned, (c, candidates, M, M) for a (c, n, M) stack.  Each
-    block's split, like the seed count, is drawn from its own generator
-    and M alone, never from the data, so the estimate stays affine
-    equivariant; each generator draws the split, then each subset's seeds.
-    """
-    c, n, m = x.shape
-    k = min(_MAX_SUBSETS, n // _SUBSET_ROWS)
-    rows = np.stack([rng.permutation(n)[: k * _SUBSET_ROWS] for rng in rngs])
-    merged = x[np.arange(c)[:, None], rows]
-    parts = merged.reshape(c * k, _SUBSET_ROWS, m)
-    h_sub = -(-_SUBSET_ROWS * h // n)  # ceil(h * subset rows / n)
-    per_part = -(-_n_starts(m) // k)
-    starts = np.stack([_elemental_scatters(part, rngs[j // k], per_part) for j, part in enumerate(parts)])
-    best = _best_candidates(_Concentrator(parts, h_sub), starts.reshape(c * k, per_part, m, m))[1]
-    h_merged = -(-k * _SUBSET_ROWS * h // n)
-    return _best_candidates(_Concentrator(merged, h_merged), best.reshape(c, -1, m, m))[1]
+    def _weighted(self, weights: np.ndarray) -> np.ndarray:
+        # sum_r w_r x_r x_r^T of each block for its (c, n) row weights
+        packed = np.matmul(self.feats_t, weights[..., None])[..., 0]
+        return packed[:, self.unpack_index].reshape(-1, self.m, self.m)
 
 
 def mcd_estimate(coeffs, rng):
@@ -312,43 +286,43 @@ def mcd_estimate(coeffs, rng):
 
     Runs the concentration search on zero-mean coefficient rows, applies the
     chi-square consistency correction, then one reweighting step.  The
-    search draws :func:`_n_starts` random (M+1)-row seeds, the fewest that
-    include an outlier-free one with probability 0.99 when half the rows are
-    outlying (Rousseeuw & Van Driessen 1999): 35, 72 and 146 at M = 2, 3
-    and 4.  Above 600 rows the search starts from the nested subsets of
-    :func:`_nested_candidates`; up to 600 rows every seed is C-stepped on the
-    whole block.  The estimate is consistent under pure Gaussian data but not
-    unbiased at finite size: at 1024 rows the mean of tr(S^{-1} S_hat) / M
-    is 0.988 (M = 2), 0.991 (M = 3) and 0.990 (M = 4), each +-0.001 over
-    1500 fits, i.e. about 1% low, as with a fixed 500 starts.  The
+    search C-steps each of the four affine-equivariant starts of
+    :meth:`_Concentrator.starts` (the classical scatter, the spatial-sign
+    scatter, the scatter of the half of the rows nearest zero, and Tyler's
+    shape after three iterations) until its subset is a fixed point, and
+    keeps the fixed point of least determinant.  The estimate is a function
+    of the block alone: ``rng`` is accepted and ignored.  It is consistent
+    under pure Gaussian data but not unbiased at finite size: at 1024 rows
+    the mean of tr(S^{-1} S_hat) / M is 0.993 (M = 2), 0.992 (M = 3), 0.992
+    (M = 4) and 0.992 (M = 6), each +-0.001 over 1500 fits, i.e. about 1%
+    low (0.990 to 0.991 with the random search it replaced).  The
     calibration in :mod:`mvdenoise.denoiser` simulates this estimator
     itself, so the bias is part of the null law the thresholds are taken
-    from.  Deterministic for a given ``rng`` state.
+    from.
 
     A (c, n, M) stack of same-shape blocks, with a sequence of c
     generators, returns the list of their c estimates, each equal bit for
-    bit to its block's lone fit with its generator: every block draws from
-    its own generator in a lone fit's order, and its C-steps run with the
-    other blocks' (see :class:`_Concentrator`).  Each block runs a lone
-    fit's steps chunk by chunk; the blocks of a stack share only each
-    step's inversion.  A lone block is the stack of one.  The calibration in
-    :mod:`mvdenoise.denoiser` fits each batch of replications as one stack.
+    bit to its block's lone fit: each block's starts and C-steps run a lone
+    fit's operations alongside the other blocks' (see
+    :class:`_Concentrator`), chunk by chunk, and the blocks of a stack share
+    only each step's inversion.  A lone block is the stack of one.  The
+    calibration in :mod:`mvdenoise.denoiser` fits each batch of
+    replications as one stack.
 
     A rank-deficient block (linearly dependent channels, say) has no MCD
     estimate: it returns the block's scatter about zero plus the ridge of
-    :func:`_ridge`, with a warning, and draws nothing from its generator.  A
-    rank-deficient minimal-determinant subset gets the same ridge.  Each
-    block of a stack warns on its own, in block order.  A block whose
-    scatter overflows float64 (entries near 1e154 and larger) has no
-    representable covariance and raises ``ValueError``, as does a stack
-    holding one.
+    :func:`_ridge`, with a warning.  A rank-deficient minimal-determinant
+    subset gets the same ridge.  Each block of a stack warns on its own, in
+    block order.  A block whose scatter overflows float64 (entries near
+    1e154 and larger) has no representable covariance and raises
+    ``ValueError``, as does a stack holding one.
 
     Parameters
     ----------
     coeffs : (n, M) or (c, n, M) array
         Coefficient rows, treated as zero-mean draws; a stack of c blocks.
     rng : numpy.random.Generator, or a sequence of c for a stack
-        Source for the random elemental subsets.
+        Ignored; a stack still needs one per block.
     """
     x = np.asarray(coeffs, dtype=np.float64)
     stacked = x.ndim == 3
@@ -373,7 +347,7 @@ def mcd_estimate(coeffs, rng):
     w_full = np.linalg.eigvalsh(full_scatter)
     fit = (w_full[:, 0] > 1e-12 * np.maximum(w_full[:, -1], 1e-300)).tolist()
     rows = [j for j in range(c) if fit[j]]
-    sigmas = iter(_fit_stack(x if len(rows) == c else x[rows], [rngs[j] for j in rows], full_scatter[rows]) if rows else [])
+    sigmas = iter(_fit_stack(x if len(rows) == c else x[rows], full_scatter[rows]) if rows else [])
 
     estimates = []
     for j in range(c):
@@ -390,22 +364,16 @@ def mcd_estimate(coeffs, rng):
     return estimates if stacked else estimates[0]
 
 
-def _fit_stack(x: np.ndarray, rngs, full_scatter: np.ndarray) -> list:
+def _fit_stack(x: np.ndarray, full_scatter: np.ndarray) -> list:
     """The reweighted MCD scatter of each full-rank block of a (c, n, M) stack."""
     c, n, m = x.shape
     h = (n + m + 1) // 2
-    if n > 2 * _SUBSET_ROWS:
-        # no full-block subsets yet: empty ones, which no step reproduces;
-        # the full-block features are built after the subsets' are freed
-        scatters = _nested_candidates(x, h, rngs)
-        subsets = np.zeros(scatters.shape[:2] + (n,), dtype=bool)
-        conc = _Concentrator(x, h, full_scatter)
-    else:
-        starts = np.stack([_elemental_scatters(xj, rng, _n_starts(m)) for xj, rng in zip(x, rngs)])
-        conc = _Concentrator(x, h, full_scatter)
-        subsets, scatters = _best_candidates(conc, starts)
+    conc = _Concentrator(x, h, full_scatter)
+    scatters = conc.starts(full_scatter)
+    # the starts enter with empty subsets, which no step reproduces
+    subsets = np.zeros(scatters.shape[:2] + (n,), dtype=bool)
 
-    # Iterate each block's best candidates until every subset is a fixed
+    # Iterate each block's starts until every subset is a fixed
     # point.  Only those whose subset moved in the last step are stepped
     # again: a subset that maps to itself, with its scatter, keeps doing so.
     t = scatters.shape[1]

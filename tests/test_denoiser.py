@@ -1,10 +1,12 @@
 import concurrent.futures
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -30,7 +32,7 @@ from mvdenoise.denoiser import (
     worker_count,
     worker_rule,
 )
-from mvdenoise.robustcov import CovarianceMatrix, _solve_lower
+from mvdenoise.robustcov import CovarianceMatrix, _solve_lower, mcd_estimate
 from mvdenoise.siggen import NoiseSpec, add_noise, average_snr_db, make_signal
 from mvdenoise.wavelet import dwt_forward, dwt_inverse, get_filter
 
@@ -575,6 +577,27 @@ def test_pure_noise_marginal_retention_rate():
     assert 0.2 * p_fa < rate < 3.0 * p_fa
 
 
+def test_gof_false_alarm_rate_at_its_default_key():
+    # gof's key (cli.cmd_gof): 512 rows of 4 channels are one window of a
+    # one-level null of 1024 samples.  Pure-noise inputs from a stream of
+    # their own, fitted as stacks and scored as gof scores its rows, are
+    # rejected at p_fa within 3 standard errors: the binomial error of the
+    # rate combined with the threshold's Monte Carlo error.  At 1000
+    # replications the band's lower edge is below zero, so it bounds the
+    # rate from above only.
+    n, m, inputs, batch = 512, 4, 4000, 250
+    cfg = DenoiseConfig()
+    (threshold,), (sd,) = calibrate_thresholds(m, 2 * n, replace(cfg, levels=1, window_l=n))
+    rng = np.random.default_rng([62, 1])
+    rejected = 0
+    for _ in range(inputs // batch):
+        x = rng.standard_normal((batch, n, m))
+        tau = _scale_taus([x.transpose(1, 0, 2)], mcd_estimate(x, [rng] * batch), n)[0][:, 0]
+        rejected += int((tau >= threshold).sum())
+    se = math.sqrt(cfg.p_fa * (1.0 - cfg.p_fa) / inputs + sd**2 / cfg.calibration_reps)
+    assert abs(rejected / inputs - cfg.p_fa) <= 3.0 * se
+
+
 def test_clean_structured_signal_passes_through():
     s = make_signal("heavydoppler3", 2048)
     cfg = DenoiseConfig(calibration_reps=200)
@@ -609,6 +632,20 @@ def test_denoise_deterministic_for_config_seed():
     a, _ = denoise(noisy, cfg)
     b, _ = denoise(noisy, cfg)
     assert np.array_equal(a, b)
+
+
+def test_denoise_does_not_depend_on_its_seed():
+    # the covariance fit draws nothing and calibration has its own stream,
+    # so two seeds give the same estimate, statistics, masks and thresholds
+    s = make_signal("heavydoppler3", 1024)
+    noisy, _ = add_noise(s, NoiseSpec(3, 0.25, 0.0), rng=np.random.default_rng(6))
+    a, ra = denoise(noisy, DenoiseConfig(calibration_reps=150, seed=1))
+    b, rb = denoise(noisy, DenoiseConfig(calibration_reps=150, seed=2))
+    assert np.array_equal(a, b)
+    assert np.array_equal(ra.sigma.sigma, rb.sigma.sigma)
+    assert np.array_equal(ra.thresholds, rb.thresholds)
+    for p, q in zip(ra.tau + ra.keep_masks, rb.tau + rb.keep_masks):
+        assert np.array_equal(p, q)
 
 
 def test_denoising_is_nearly_idempotent():

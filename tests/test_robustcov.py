@@ -11,7 +11,6 @@ from mvdenoise.robustcov import (
     SingularCovarianceError,
     _chi2_quantile,
     _consistency_factor,
-    _n_starts,
     _solve_lower,
     _ridge,
     mcd_estimate,
@@ -156,13 +155,6 @@ def test_mcd_scalar_case_nondegenerate():
     assert est.sigma[0, 0] > 0
 
 
-def test_mcd_deterministic_given_seed():
-    x = np.random.default_rng(10).standard_normal((500, 3))
-    a = mcd_estimate(x, np.random.default_rng(42)).sigma
-    b = mcd_estimate(x, np.random.default_rng(42)).sigma
-    assert np.array_equal(a, b)
-
-
 def test_mcd_sample_size_floor():
     with pytest.raises(ValueError, match="at least"):
         mcd_estimate(np.random.default_rng(0).standard_normal((5, 2)), np.random.default_rng(0))
@@ -200,8 +192,7 @@ def test_mcd_overflowing_covariance_is_refused(scale):
 @pytest.mark.parametrize("n", [512, 1024], ids=["whole-block", "nested"])
 def test_mcd_exact_fit_takes_the_ridge(n):
     # three independent nonzero rows: the block has full rank, but the
-    # minimal-determinant subset is all zeros (an exact fit), and nested
-    # subsets of the larger block can hold only zero rows
+    # minimal-determinant subset is all zeros (an exact fit)
     x = np.zeros((n, 3))
     x[[17, n // 2, n - 5]] = [[1.0, 0.0, 0.0], [0.5, 2.0, 0.0], [0.0, -1.0, 3.0]]
     with pytest.warns(RuntimeWarning, match="adding ridge"):
@@ -256,9 +247,8 @@ def test_batched_concentration_step_matches_loop():
 
 @pytest.mark.parametrize("n", [500, 2000], ids=["elemental", "nested"])
 def test_mcd_affine_equivariant(n):
-    # blocks of more than 600 rows start from the nested subset search; its
-    # split comes from the rng, never the data, so both routes keep
-    # sigma_hat(X A^T) = A sigma_hat(X) A^T for the same rng
+    # the starts and C-steps are affine equivariant at every block size:
+    # sigma_hat(X A^T) = A sigma_hat(X) A^T
     x = np.random.default_rng([12, n]).standard_normal((n, 3))
     a = np.array([[0.8, -1.5, 0.4], [0.9, 0.5, 0.0], [-1.2, 0.3, 3.0]])
     base = mcd_estimate(x, np.random.default_rng(13)).sigma
@@ -277,45 +267,14 @@ def test_mcd_nested_route_resists_shifted_rows():
 
 @pytest.mark.parametrize("n", [512, 2000], ids=["elemental", "nested"])
 def test_mcd_resists_forty_percent_shifted_rows_at_four_channels(n):
-    # 40 % of the rows shifted by 8 sigma along a common direction, where the
-    # start rule gives 146 starts instead of 500; with 500 starts the error
-    # was 0.151 (512 rows) and 0.086 (2000 rows), the same as now
+    # 40 % of the rows shifted by 8 sigma along a common direction; with
+    # FAST-MCD's 500 random starts the error was 0.151 (512 rows) and 0.086
+    # (2000 rows)
     rng = np.random.default_rng([16, n, 0])
     x = rng.standard_normal((n, 4))
     x[rng.choice(n, size=int(0.4 * n), replace=False)] += 8.0 / np.sqrt(4.0)
     est = mcd_estimate(x, np.random.default_rng([17, 0]))
     assert np.abs(est.sigma - np.eye(4)).max() < 0.3
-
-
-def test_start_count_is_the_smallest_that_meets_the_rule():
-    # 1 - (1 - (1 - eps)^(M+1))^s >= 0.99 at eps = 0.5, capped at 500
-    for m in range(1, 9):
-        clean_seed = 0.5 ** (m + 1)
-        s = 1
-        while 1.0 - (1.0 - clean_seed) ** s < 0.99:
-            s += 1
-        assert _n_starts(m) == min(s, 500)
-    assert [_n_starts(m) for m in range(1, 9)] == [17, 35, 72, 146, 293, 500, 500, 500]
-
-
-@pytest.mark.parametrize("n", [700, 1024, 2000])
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_nested_subsets_share_at_least_the_rule_starts(monkeypatch, n, m):
-    # ceil(s / k) starts per subset: floor division would give 33 < 35 at M = 2
-    from mvdenoise import robustcov
-
-    counts = []
-    draw = robustcov._elemental_scatters
-
-    def counted(x, rng, count):
-        counts.append(count)
-        return draw(x, rng, count)
-
-    monkeypatch.setattr(robustcov, "_elemental_scatters", counted)
-    mcd_estimate(np.random.default_rng([18, n, m]).standard_normal((n, m)), np.random.default_rng(19))
-    k = min(5, n // 300)
-    assert counts == [-(-_n_starts(m) // k)] * k
-    assert sum(counts) >= _n_starts(m)
 
 
 def _true_constants(alpha, m):
@@ -412,9 +371,9 @@ def test_stacked_fit_equals_lone_fits_bit_for_bit(monkeypatch, n, m):
 
 
 def test_stacked_fit_splits_long_blocks_as_a_lone_fit_does():
-    # past 6553 rows a block's 10 refined candidates no longer fit one
-    # chunk of _STEP_CHUNK_VALUES distances; each block is cut as alone
-    rows = np.random.default_rng(24).standard_normal((7000, 3, 2))
+    # past 16384 rows a block's 4 candidates no longer fit one chunk of
+    # _STEP_CHUNK_VALUES distances; each block is cut as alone
+    rows = np.random.default_rng(24).standard_normal((20000, 3, 2))
     fits = mcd_estimate(rows.transpose(1, 0, 2), [np.random.default_rng([25, j]) for j in range(3)])
     for j, fit in enumerate(fits):
         assert _same_fit(fit, mcd_estimate(rows[:, j], np.random.default_rng([25, j])))
@@ -436,6 +395,51 @@ def test_stacked_fit_ridges_only_its_rank_deficient_block(n):
     assert gens[1].random() == np.random.default_rng([27, 1]).random()
     for j in (0, 2):
         assert _same_fit(fits[j], mcd_estimate(rows[:, j], np.random.default_rng([27, j])))
+
+
+def test_mcd_ignores_its_generator():
+    # the estimate is a function of the block alone, for a lone block and
+    # for a stack, whatever generators come with it
+    rows = np.random.default_rng(29).standard_normal((3, 700, 3))
+    rows[1, :140] += 6.0
+    for block in rows:
+        assert _same_fit(mcd_estimate(block, np.random.default_rng(1)), mcd_estimate(block, np.random.default_rng(2)))
+    a = mcd_estimate(rows, [np.random.default_rng(j) for j in range(3)])
+    b = mcd_estimate(rows, [np.random.default_rng(j + 3) for j in range(3)])
+    assert all(_same_fit(p, q) for p, q in zip(a, b))
+
+
+def _starts(x):
+    from mvdenoise.robustcov import _Concentrator, _scatter
+
+    scatter = _scatter(x[None])
+    return _Concentrator(x[None], (x.shape[0] + x.shape[1] + 1) // 2, scatter).starts(scatter)[0]
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_each_start_is_affine_equivariant(n):
+    # the starts of X A^T are A S A^T for the starts S of X, a tenth of the
+    # rows shifted so that no two starts coincide
+    x = np.random.default_rng([30, n]).standard_normal((n, 3))
+    x[: n // 10] += 5.0
+    a = np.array([[0.8, -1.5, 0.4], [0.9, 0.5, 0.0], [-1.2, 0.3, 3.0]])
+    base, mapped = _starts(x), _starts(x @ a.T)
+    assert base.shape == (4, 3, 3)
+    assert np.allclose(mapped, a @ base @ a.T, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("nonzero", [3, 128, 400])
+def test_starts_are_finite_on_a_block_with_zero_rows(nonzero):
+    # rows at distance zero take weight zero in the spatial-sign and Tyler
+    # starts, not 1/0, and those starts keep full rank; three nonzero rows
+    # are an exact fit, and with half the rows zero so is the half start
+    x = np.zeros((512, 3))
+    x[np.linspace(0, 511, nonzero).astype(int)] = np.random.default_rng([31, nonzero]).standard_normal((nonzero, 3))
+    with np.errstate(all="raise"):
+        starts = _starts(x)
+    assert np.isfinite(starts).all()
+    assert (np.linalg.eigvalsh(starts[[0, 1, 3]]) > 0).all()
+    assert (np.linalg.eigvalsh(starts[2]) > 0).all() == (nonzero > 256)
 
 
 def test_stacked_fit_needs_one_generator_per_block():
