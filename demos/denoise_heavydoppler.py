@@ -8,7 +8,7 @@ signal = make_signal("heavydoppler3", 2048)
 spec = NoiseSpec(n_channels=3, correlation=0.75, target_snr_db=0.0)
 noisy, _ = add_noise(signal, spec, rng=11)
 
-config = DenoiseConfig(calibration_reps=500, seed=11)
+config = DenoiseConfig(calibration_reps=500)
 estimate, rep = denoise(noisy, config)
 
 print("input SNR per channel: ", np.round(snr_db(signal.channels, noisy), 2))

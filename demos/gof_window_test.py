@@ -30,7 +30,7 @@ print(f"calibrated threshold (p_fa=0.005): {threshold:.3f}")
 
 
 def score(window):
-    sigma = mcd_estimate(window, np.random.default_rng(0))
+    sigma = mcd_estimate(window)
     return ad_statistic(mahalanobis_edf(window, sigma), dist)
 
 

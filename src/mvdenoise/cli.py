@@ -135,11 +135,10 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: DenoiseConfig | None, seed, input_digest: str, extra=None) -> None:
+def write_manifest(out_dir: Path, command: str, config: DenoiseConfig | None, input_digest: str, extra=None) -> None:
     manifest = {
         "command": command,
         "config": dataclasses.asdict(config) if config else None,
-        "seed": seed,
         "input_digest": input_digest,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
@@ -151,6 +150,8 @@ def write_manifest(out_dir: Path, command: str, config: DenoiseConfig | None, se
 
 
 def _seed(text: str) -> int:
+    # generate and benchmark draw their noise from --seed, and its default 0
+    # makes each run reproducible; denoise and gof draw nothing, so take none
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
@@ -167,9 +168,6 @@ _CONFIG_FLAGS = {
 
 
 def _add_config_flags(p: argparse.ArgumentParser, flags=tuple(_CONFIG_FLAGS)) -> None:
-    # generate and benchmark draw their noise from --seed, and its default 0
-    # makes each run reproducible; no denoise or gof output depends on it
-    p.add_argument("--seed", type=_seed, default=0)
     for flag in flags:
         field, kind = _CONFIG_FLAGS[flag]
         p.add_argument(flag, dest=field, type=kind, default=argparse.SUPPRESS)
@@ -180,7 +178,7 @@ def _config_from(args) -> DenoiseConfig:
     # is a usage error before any work
     given = {field: getattr(args, field) for field, _ in _CONFIG_FLAGS.values() if hasattr(args, field)}
     try:
-        config = DenoiseConfig(seed=args.seed, **given)
+        config = DenoiseConfig(**given)
         worker_count(1)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -214,7 +212,7 @@ def cmd_generate(args) -> int:
         raise UsageError(str(exc)) from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, "generate", None, args.seed, _digest(signal.channels), extra={"signal": args.name, "n": args.n, "rho": args.rho, "snr": args.snr})
+    write_manifest(out_dir, "generate", None, _digest(signal.channels), extra={"seed": args.seed, "signal": args.name, "n": args.n, "rho": args.rho, "snr": args.snr})
     write_csv(out_dir / "clean.csv", signal.channels)
     write_csv(out_dir / "noisy.csv", noisy)
     write_csv(out_dir / "noise.csv", psi)
@@ -241,7 +239,7 @@ def cmd_denoise(args) -> int:
         estimate, report = denoise(x, cfg)
     except ValueError as exc:
         raise GeometryError(str(exc)) from exc
-    write_manifest(out_dir, "denoise", cfg, args.seed, _digest(x))
+    write_manifest(out_dir, "denoise", cfg, _digest(x))
     write_csv(out_dir / "denoised.csv", estimate)
     payload = {
         "manifest": MANIFEST_NAME,
@@ -279,7 +277,7 @@ def cmd_gof(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            sigma = mcd_estimate(x, np.random.default_rng(args.seed))
+            sigma = mcd_estimate(x)
             tau = float(_scale_taus([x[:, None]], [sigma], key.window_l)[0][0, 0])
         except ValueError as exc:
             raise GeometryError(str(exc)) from exc
@@ -305,12 +303,11 @@ def _benchmark_cell(params):
     # seed words must be non-negative; the modulus leaves every rho >= 0 unchanged
     rho_key = int(rho * 1000) % 2**32
     noisy, _ = add_noise(signal, spec, rng=[master_seed, hash_str(signal_name), rho_key, rep_index])
-    method_rng = np.random.default_rng([master_seed, hash_str(signal_name), rho_key, rep_index, hash_str(method)])
     try:
         if method == "mgwd":
-            estimate, _ = denoise(noisy, cfg, rng=method_rng)
+            estimate, _ = denoise(noisy, cfg)
         else:
-            estimate = baseline_universal(noisy, cfg, rng=method_rng)
+            estimate = baseline_universal(noisy, cfg)
         per_channel = np.atleast_1d(snr_db(signal.channels, estimate))
         status = "ok"
     except Exception as exc:  # mark the cell, keep the run going
@@ -375,8 +372,8 @@ def cmd_benchmark(args) -> int:
     ]
     results = [row for rows in _pool_map(_benchmark_cell, cells) for row in rows]
 
-    extra = {"signals": signals, "rhos": rhos, "methods": methods, "snrs": str(snrs), "reps": args.seeds, "warnings": warned}
-    write_manifest(out_dir, "benchmark", cfg, args.seed, _digest(np.array([float(len(cells))])), extra=extra)
+    extra = {"seed": args.seed, "signals": signals, "rhos": rhos, "methods": methods, "snrs": str(snrs), "reps": args.seeds, "warnings": warned}
+    write_manifest(out_dir, "benchmark", cfg, _digest(np.array([float(len(cells))])), extra=extra)
     with _new_file(out_dir / "results.csv") as f:
         f.write(f"# manifest: {MANIFEST_NAME}\n")
         f.write("signal,method,rho,balanced,channel,input_snr_db,output_snr_db,seed,status\n")
@@ -453,7 +450,7 @@ def build_parser() -> _Parser:
     g.add_argument("--snr", default="0")
     g.add_argument("--rho", type=float, default=0.0)
     g.add_argument("--out", default=".")
-    _add_config_flags(g, ())
+    g.add_argument("--seed", type=_seed, default=0)
     g.set_defaults(func=cmd_generate)
 
     d = sub.add_parser("denoise", help="denoise a CSV signal")
@@ -477,6 +474,7 @@ def build_parser() -> _Parser:
     b.add_argument("--seeds", type=int, default=10, help="replications per cell")
     b.add_argument("--n", type=int, default=2048)
     b.add_argument("--out", default="benchmark_out")
+    b.add_argument("--seed", type=_seed, default=0)
     _add_config_flags(b)
     b.set_defaults(func=cmd_benchmark)
     return parser

@@ -51,7 +51,8 @@ class DenoiseConfig:
     16-tap Daubechies filter, five decomposition levels, window size
     L = 28 * n_channels, false-alarm probability 0.005, and 1000 Monte Carlo
     replications per calibration.  A config is checked when it is made: an
-    invalid one raises ``ValueError`` and never exists.
+    invalid one raises ``ValueError`` and never exists.  ``seed`` is inert:
+    nothing in the pipeline draws from it.
     """
 
     filter_name: str = "db8"
@@ -214,8 +215,7 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     The batch's finest-scale blocks are fitted as one stack, by one
     :func:`~mvdenoise.robustcov.mcd_estimate` call: each estimate equals
     that block's lone fit bit for bit, and the stack shares each C-step's
-    inversion across the batch.  The fit draws nothing, so a replication's
-    generator serves its noise alone.
+    inversion across the batch.  The fit draws nothing.
     A block no wider than the window is one shared window per replication:
     it contributes a single value each.  Replication r draws from the
     generator seeded by ``child_seeds[r]`` alone, but the rounding of its
@@ -225,13 +225,12 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     in two.  So :func:`calibrate_thresholds` always cuts the seeds at the
     same batch boundaries.
     """
-    gens = [np.random.default_rng(int(s)) for s in child_seeds]
-    c = len(gens)
-    noise = np.stack([g.standard_normal((n_samples, m)) for g in gens], axis=1)
+    c = len(child_seeds)
+    noise = np.stack([np.random.default_rng(int(s)).standard_normal((n_samples, m)) for s in child_seeds], axis=1)
     dec = _decompose(noise.reshape(n_samples, c * m), config)
     del noise  # the decomposition holds no view of it: free it before scoring
     details = [d.reshape(d.shape[0], c, m) for d in dec.details]
-    sigmas = mcd_estimate(details[0].transpose(1, 0, 2), gens)
+    sigmas = mcd_estimate(details[0].transpose(1, 0, 2))
     window = config.window_size(m)
     return [t if t.shape[1] > window else t[:, :1] for t in _scale_taus(details, sigmas, window)]
 
@@ -334,8 +333,8 @@ def worker_count(jobs: int) -> int:
     return worker_rule(os.environ, _usable_cores(), jobs, multiprocessing.parent_process() is not None)
 
 
-# Calibration draws from its own stream, never from the caller's rng, so the
-# memo below is a pure function of its key: the order of calls changes no result.
+# Calibration draws from its own stream, so the memo below is a pure function
+# of its key: the order of calls changes no result.
 _CALIBRATION_SEED = 0
 # (channels, input length, config without its seed, window set) -> (thresholds, retention sd)
 _NULL_CACHE: dict = {}
@@ -381,8 +380,8 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     The null law depends on the geometry and test settings only, never on
     the data or its noise covariance, so one Monte Carlo pool per key (the
     channel count, the length, and the configuration with its window set
-    and no seed) serves every call: the result is memoised per key, and
-    every :func:`_pool_map` worker starts with the memo.  Each replication is padded by
+    and its inert seed dropped) serves every call: the result is memoised
+    per key, and every :func:`_pool_map` worker starts with the memo.  Each replication is padded by
     ``dwt_forward`` exactly as an input of ``n_samples`` rows is, so a
     non-dyadic length is simulated with the mirrored rows its pad
     duplicates, and a geometry ``denoise`` rejects raises the same
@@ -454,32 +453,30 @@ def _decompose(x: np.ndarray, config: DenoiseConfig):
     return dec
 
 
-def _front_end(x, config: DenoiseConfig | None, rng):
-    # shared by denoise and baseline_universal: (config, (N, M), rng, decomposition)
+def _front_end(x, config: DenoiseConfig | None):
+    # shared by denoise and baseline_universal: (config, (N, M), decomposition)
     config = config or DenoiseConfig()
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    return config, x.shape, rng, _decompose(x, config)
+    return config, x.shape, _decompose(x, config)
 
 
-def denoise(x, config: DenoiseConfig | None = None, rng=None):
+def denoise(x, config: DenoiseConfig | None = None):
     """Denoise an (N, M) signal; returns ``(estimate, report)``.
 
     The approximation block is never tested or thresholded.  A detail
     coefficient at scale k survives iff the statistic of its window reaches
     the calibrated threshold T_k (ties retained).  Thresholds come from the
     plug-in null of :func:`calibrate_thresholds`, shared by every call with
-    the same channel count, length and settings.  The result depends on
-    the input and the settings only: the covariance fit draws nothing, so
-    neither ``config.seed`` nor ``rng`` changes it.
+    the same channel count, length and settings.  The result is a function
+    of the input and the settings alone: nothing is drawn at random, and
+    ``config.seed`` changes nothing.
     """
-    config, (n, m), rng, dec = _front_end(x, config, rng)
+    config, (n, m), dec = _front_end(x, config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sigma = mcd_estimate(dec.details[0], rng)
+        sigma = mcd_estimate(dec.details[0])
         thresholds, null_sd = calibrate_thresholds(m, n, config)
 
     taus = [t[0] for t in _scale_taus([d[:, None] for d in dec.details], [sigma], config.window_size(m))]
@@ -497,7 +494,7 @@ def denoise(x, config: DenoiseConfig | None = None, rng=None):
     )
 
 
-def baseline_universal(x, config: DenoiseConfig | None = None, rng=None) -> np.ndarray:
+def baseline_universal(x, config: DenoiseConfig | None = None) -> np.ndarray:
     """Channel-wise universal-threshold baseline.
 
     Per-channel thresholds sqrt(2 * lam_m * log N) are built from the
@@ -506,8 +503,8 @@ def baseline_universal(x, config: DenoiseConfig | None = None, rng=None) -> np.n
     variance, and so on down the ranking.  Coefficients below their
     channel's threshold are zeroed (hard thresholding).
     """
-    config, (n, m), rng, dec = _front_end(x, config, rng)
-    sigma = mcd_estimate(dec.details[0], rng)
+    config, (n, m), dec = _front_end(x, config)
+    sigma = mcd_estimate(dec.details[0])
 
     thresholds = np.empty(m)
     channel_rank = np.argsort(-np.diag(sigma.sigma), kind="stable")

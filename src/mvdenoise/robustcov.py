@@ -17,7 +17,8 @@ The C-steps add it to every candidate scatter, and :func:`mcd_estimate`
 owns both fallbacks that keep a degenerate block usable, each with a
 warning: a rank-deficient block gives its ridged scatter, and a
 rank-deficient final estimate (an exact fit: most rows zero, say) gets the
-ridge.  Every caller, ``denoise``, its null and ``gof`` alike, takes them.
+ridge.  One rank rule, :func:`_full_rank`, decides both.  Every caller,
+``denoise``, its null and ``gof`` alike, takes them.
 """
 
 from __future__ import annotations
@@ -247,8 +248,8 @@ class _Concentrator:
         A row at distance 0, or below the smallest normal float, gets
         weight 0 rather than 1/0, and the spatial-sign and Tyler sums run
         over the other n' rows, with M/n' for M/n.  Those rows span the
-        block (the rest are too small to count in the rank check of
-        :func:`mcd_estimate`), so these starts have full rank and the scale
+        block (the rest are too small to count in the rank rule of
+        :func:`_full_rank`), so these starts have full rank and the scale
         of S.  The half start is zero when half the rows are: the ridge of
         the C-steps keeps it usable.  Each product runs per block with a
         lone block's shapes, so a stack's starts equal its lone blocks' bit
@@ -281,7 +282,7 @@ class _Concentrator:
         return packed[:, self.unpack_index].reshape(-1, self.m, self.m)
 
 
-def mcd_estimate(coeffs, rng):
+def mcd_estimate(coeffs, rng=None):
     """Minimum-covariance-determinant estimate of the noise covariance.
 
     Runs the concentration search on zero-mean coefficient rows, applies the
@@ -291,46 +292,43 @@ def mcd_estimate(coeffs, rng):
     scatter, the scatter of the half of the rows nearest zero, and Tyler's
     shape after three iterations) until its subset is a fixed point, and
     keeps the fixed point of least determinant.  The estimate is a function
-    of the block alone: ``rng`` is accepted and ignored.  It is consistent
-    under pure Gaussian data but not unbiased at finite size: at 1024 rows
-    the mean of tr(S^{-1} S_hat) / M is 0.993 (M = 2), 0.992 (M = 3), 0.992
-    (M = 4) and 0.992 (M = 6), each +-0.001 over 1500 fits, i.e. about 1%
-    low (0.990 to 0.991 with the random search it replaced).  The
-    calibration in :mod:`mvdenoise.denoiser` simulates this estimator
-    itself, so the bias is part of the null law the thresholds are taken
-    from.
+    of the block alone.  It is consistent under pure Gaussian data but not
+    unbiased at finite size: at 1024 rows the mean of tr(S^{-1} S_hat) / M
+    is 0.993 (M = 2), 0.992 (M = 3), 0.992 (M = 4) and 0.992 (M = 6), each
+    +-0.001 over 1500 fits, i.e. about 1% low (0.990 to 0.991 with the
+    random search it replaced).  The calibration in
+    :mod:`mvdenoise.denoiser` simulates this estimator itself, so the bias
+    is part of the null law the thresholds are taken from.
 
-    A (c, n, M) stack of same-shape blocks, with a sequence of c
-    generators, returns the list of their c estimates, each equal bit for
-    bit to its block's lone fit: each block's starts and C-steps run a lone
-    fit's operations alongside the other blocks' (see
-    :class:`_Concentrator`), chunk by chunk, and the blocks of a stack share
-    only each step's inversion.  A lone block is the stack of one.  The
-    calibration in :mod:`mvdenoise.denoiser` fits each batch of
+    A (c, n, M) stack of same-shape blocks returns the list of their c
+    estimates, each equal bit for bit to its block's lone fit: each block's
+    starts and C-steps run a lone fit's operations alongside the other
+    blocks' (see :class:`_Concentrator`), chunk by chunk, and the blocks of
+    a stack share only each step's inversion.  A lone block is the stack of
+    one.  The calibration in :mod:`mvdenoise.denoiser` fits each batch of
     replications as one stack.
 
-    A rank-deficient block (linearly dependent channels, say) has no MCD
-    estimate: it returns the block's scatter about zero plus the ridge of
-    :func:`_ridge`, with a warning.  A rank-deficient minimal-determinant
-    subset gets the same ridge.  Each block of a stack warns on its own, in
-    block order.  A block whose scatter overflows float64 (entries near
-    1e154 and larger) has no representable covariance and raises
-    ``ValueError``, as does a stack holding one.
+    One rank rule, :func:`_full_rank`, decides both fallbacks, each with a
+    warning.  A rank-deficient block (linearly dependent channels, say) has
+    no MCD estimate: it returns the block's scatter about zero plus the
+    ridge of :func:`_ridge`.  A rank-deficient final estimate (an exact fit
+    of its minimal-determinant subset) gets the same ridge.  Each block of
+    a stack warns on its own, in block order.  A block whose scatter
+    overflows float64 (entries near 1e154 and larger) has no representable
+    covariance and raises ``ValueError``, as does a stack holding one.
 
     Parameters
     ----------
     coeffs : (n, M) or (c, n, M) array
         Coefficient rows, treated as zero-mean draws; a stack of c blocks.
-    rng : numpy.random.Generator, or a sequence of c for a stack
-        Ignored; a stack still needs one per block.
+    rng : optional
+        Ignored: the fit draws nothing.  Accepted for callers that still
+        pass a generator.
     """
     x = np.asarray(coeffs, dtype=np.float64)
     stacked = x.ndim == 3
     x = x if stacked else np.atleast_2d(x)[None]
-    rngs = list(rng) if stacked else [rng]
     c, n, m = x.shape
-    if len(rngs) != c:
-        raise ValueError(f"need one generator per block: {c} blocks, {len(rngs)} generators")
     if m < 1:
         raise ValueError("need at least one channel")
     if n < 2 * (m + 1):
@@ -344,28 +342,31 @@ def mcd_estimate(coeffs, rng):
         full_scatter = _scatter(x)
     if not np.isfinite(full_scatter).all():
         raise ValueError("coefficient covariance overflows float64")
-    w_full = np.linalg.eigvalsh(full_scatter)
-    fit = (w_full[:, 0] > 1e-12 * np.maximum(w_full[:, -1], 1e-300)).tolist()
-    rows = [j for j in range(c) if fit[j]]
-    sigmas = iter(_fit_stack(x if len(rows) == c else x[rows], full_scatter[rows]) if rows else [])
+    fit = _full_rank(full_scatter)
+    sigmas = full_scatter.copy()
+    if fit.any():
+        sigmas[fit] = _fit_stack(x if fit.all() else x[fit], full_scatter[fit])
 
     estimates = []
-    for j in range(c):
-        if not fit[j]:
-            warnings.warn("coefficient block is rank deficient; using ridged scatter", RuntimeWarning)
-            estimates.append(CovarianceMatrix.from_matrix(full_scatter[j] + _ridge(full_scatter[j]) * np.eye(m)))
-            continue
-        sigma = next(sigmas)
-        try:
-            estimates.append(CovarianceMatrix.from_matrix(sigma))
-        except SingularCovarianceError:
-            warnings.warn("minimal-determinant subset is rank deficient; adding ridge", RuntimeWarning)
-            estimates.append(CovarianceMatrix.from_matrix(sigma + _ridge(sigma) * np.eye(m)))
+    for sigma, fitted, ranked in zip(sigmas, fit, _full_rank(sigmas)):
+        if not ranked:
+            if fitted:
+                warnings.warn("minimal-determinant subset is rank deficient; adding ridge", RuntimeWarning)
+            else:
+                warnings.warn("coefficient block is rank deficient; using ridged scatter", RuntimeWarning)
+            sigma = sigma + _ridge(sigma) * np.eye(m)
+        estimates.append(CovarianceMatrix.from_matrix(sigma))
     return estimates if stacked else estimates[0]
 
 
-def _fit_stack(x: np.ndarray, full_scatter: np.ndarray) -> list:
-    """The reweighted MCD scatter of each full-rank block of a (c, n, M) stack."""
+def _full_rank(scatter: np.ndarray) -> np.ndarray:
+    """Whether each (..., M, M) scatter has full rank: its least eigenvalue above 1e-12 of its largest."""
+    w = np.linalg.eigvalsh(scatter)
+    return w[..., 0] > 1e-12 * np.maximum(w[..., -1], 1e-300)
+
+
+def _fit_stack(x: np.ndarray, full_scatter: np.ndarray) -> np.ndarray:
+    """The reweighted MCD scatter of each full-rank block of a (c, n, M) stack, (c, M, M)."""
     c, n, m = x.shape
     h = (n + m + 1) // 2
     conc = _Concentrator(x, h, full_scatter)
@@ -407,4 +408,4 @@ def _fit_stack(x: np.ndarray, full_scatter: np.ndarray) -> list:
                 xk = xj[kept]
                 sigma = _consistency_factor(_REWEIGHT_MASS, m) * (xk.T @ xk) / kept.sum()
         sigmas.append(sigma)
-    return sigmas
+    return np.array(sigmas)

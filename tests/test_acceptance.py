@@ -103,7 +103,7 @@ def test_criterion_3_false_alarm_calibration():
         per_seed = []
         for seed in range(seeds):
             noise = np.random.default_rng([3, ci, seed]).standard_normal((n, m)) @ chol.T
-            _, rep = denoise(noise, cfg, rng=np.random.default_rng([4, ci, seed]))
+            _, rep = denoise(noise, cfg)
             per_seed.append([mask.mean() for mask in rep.keep_masks])
         fractions.setdefault(m, []).extend(per_seed)
         null_sd[m] = rep.null_retention_sd
@@ -138,14 +138,14 @@ def test_criterion_4_heavydoppler_snr_and_baseline():
     mgwd_balanced = []
     for seed in range(10):
         noisy, _ = add_noise(s, NoiseSpec(3, 0.0, 0.0), rng=np.random.default_rng([40, seed]))
-        est, _ = denoise(noisy, cfg, rng=np.random.default_rng([41, seed]))
+        est, _ = denoise(noisy, cfg)
         mgwd_balanced.append(average_snr_db(s.channels, est))
     mgwd_corr, base_corr = [], []
     for seed in range(10):
         noisy, _ = add_noise(s, NoiseSpec(3, 0.75, 0.0), rng=np.random.default_rng([42, seed]))
-        est, _ = denoise(noisy, cfg, rng=np.random.default_rng([43, seed]))
+        est, _ = denoise(noisy, cfg)
         mgwd_corr.append(average_snr_db(s.channels, est))
-        base = baseline_universal(noisy, cfg, rng=np.random.default_rng([44, seed]))
+        base = baseline_universal(noisy, cfg)
         base_corr.append(average_snr_db(s.channels, base))
     m_bal = float(np.mean(mgwd_balanced))
     m_cor = float(np.mean(mgwd_corr))
@@ -178,9 +178,9 @@ def test_criterion_5_correlation_robustness_trend():
         m_vals, b_vals = [], []
         for seed in range(20):
             noisy, _ = add_noise(s, NoiseSpec(4, rho, 0.0), rng=np.random.default_rng([50, seed]))
-            est, _ = denoise(noisy, cfg, rng=np.random.default_rng([51, int(rho * 100), seed]))
+            est, _ = denoise(noisy, cfg)
             m_vals.append(average_snr_db(s.channels, est))
-            est = baseline_universal(noisy, cfg, rng=np.random.default_rng([52, int(rho * 100), seed]))
+            est = baseline_universal(noisy, cfg)
             b_vals.append(average_snr_db(s.channels, est))
         mgwd[rho] = float(np.mean(m_vals))
         base[rho] = float(np.mean(b_vals))
@@ -213,7 +213,7 @@ def test_criterion_6_mcd_outlier_robustness():
         keep = np.ones(2000, dtype=bool)
         keep[idx] = False
         clean_cov = x[keep].T @ x[keep] / keep.sum()
-        est = mcd_estimate(contaminated, np.random.default_rng([61, seed]))
+        est = mcd_estimate(contaminated)
         worst = max(worst, float(np.linalg.norm(est.sigma - clean_cov)))
     elapsed = time.monotonic() - t0
     ok = worst <= limit and elapsed < 60.0

@@ -75,7 +75,7 @@ def test_denoise_roundtrip_with_clean_reference(tmp_path):
     gen = tmp_path / "gen"
     den = tmp_path / "den"
     assert run_cli(["generate", "heavydoppler3", "--n", "2048", "--snr", "0", "--seed", "3", "--out", str(gen)]) == 0
-    rc = run_cli(["denoise", str(gen / "noisy.csv"), "--clean", str(gen / "clean.csv"), "--out", str(den), "--seed", "3", *FAST])
+    rc = run_cli(["denoise", str(gen / "noisy.csv"), "--clean", str(gen / "clean.csv"), "--out", str(den), *FAST])
     assert rc == 0
     est = read_csv(den / "denoised.csv")
     assert est.shape == (2048, 3)
@@ -285,7 +285,7 @@ def test_gof_accepts_gaussian_and_rejects_offset(tmp_path, capsys):
     x = rng.standard_normal((4096, 3))
     p = tmp_path / "g.csv"
     np.savetxt(p, x, delimiter=",")
-    rc = run_cli(["gof", str(p), "--seed", "5", "--calib-reps", "600", "--json"])
+    rc = run_cli(["gof", str(p), "--calib-reps", "600", "--json"])
     assert rc == 0
     res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert res["decision"] == "H0_noise"
@@ -293,7 +293,7 @@ def test_gof_accepts_gaussian_and_rejects_offset(tmp_path, capsys):
 
     p2 = tmp_path / "g2.csv"
     np.savetxt(p2, x + 5.0, delimiter=",")
-    rc = run_cli(["gof", str(p2), "--seed", "5", "--calib-reps", "600", "--json"])
+    rc = run_cli(["gof", str(p2), "--calib-reps", "600", "--json"])
     assert rc == 0
     res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert res["decision"] == "H1_signal"
@@ -307,7 +307,7 @@ def test_gof_holds_null_across_seeds(tmp_path, capsys):
         x = np.random.default_rng([90, seed]).standard_normal((8192, 3)) @ chol.T
         p = tmp_path / f"null{seed}.csv"
         np.savetxt(p, x, delimiter=",")
-        rc = run_cli(["gof", str(p), "--seed", str(seed), "--calib-reps", "600", "--json"])
+        rc = run_cli(["gof", str(p), "--calib-reps", "600", "--json"])
         assert rc == 0
         res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert res["decision"] == "H0_noise"
@@ -319,10 +319,10 @@ def test_gof_tau_is_the_pipeline_statistic(tmp_path, capsys, n, m, seed):
     # with: all rows are one window of one block, at the gof window size
     p = tmp_path / "x.csv"
     np.savetxt(p, np.random.default_rng([77, n, m, seed]).standard_normal((n, m)), delimiter=",")
-    assert run_cli(["gof", str(p), "--seed", str(seed), "--json", *FAST]) == 0
+    assert run_cli(["gof", str(p), "--json", *FAST]) == 0
     res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     rows = read_csv(p)
-    sigma = mcd_estimate(rows, np.random.default_rng(seed))
+    sigma = mcd_estimate(rows)
     assert res["tau"] == float(_scale_taus([rows[:, None]], [sigma], n + n % 2)[0][0, 0])
 
 
@@ -494,15 +494,21 @@ def test_rerun_writes_new_files_and_leaves_links_alone(tmp_path):
     for seed in ("1", "2"):
         assert run_cli(["generate", "heavydoppler3", "--n", "512", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
     runs = {
-        # the seed picks the input too: at 512 rows the masks, and so the
-        # estimate, do not change with the covariance seed alone
-        den / "denoised.csv": lambda seed: ["denoise", str(tmp_path / seed / "noisy.csv"), "--out", str(den), "--seed", seed, *FAST],
+        # denoise draws nothing: the seed picks its input
+        den / "denoised.csv": lambda seed: ["denoise", str(tmp_path / seed / "noisy.csv"), "--out", str(den), *FAST],
         # the last --seed given wins
         bench / "results.csv": lambda seed: [*bench_args(bench, seeds=1, methods="baseline"), "--seed", seed],
     }
+
+    def run_manifest(output):
+        written = json.loads((output.parent / MANIFEST_NAME).read_text())
+        del written["created_utc"]
+        return written
+
     for output, argv in runs.items():
         assert run_cli(argv("1")) == 0
         first = output.read_bytes()
+        first_manifest = run_manifest(output)
         linked = tmp_path / f"linked_{output.name}"
         os.link(output, linked)
         target = tmp_path / f"target_{output.parent.name}"
@@ -514,8 +520,8 @@ def test_rerun_writes_new_files_and_leaves_links_alone(tmp_path):
         assert linked.read_bytes() == first
         assert output.read_bytes() != first
         assert target.read_text() == "untouched\n"
-        manifest = output.parent / MANIFEST_NAME
-        assert not manifest.is_symlink() and json.loads(manifest.read_text())["seed"] == 2
+        # the second run's manifest: its input digest (denoise) or seed (benchmark) differs
+        assert not (output.parent / MANIFEST_NAME).is_symlink() and run_manifest(output) != first_manifest
 
 
 def test_benchmark_uncalibratable_geometry_gives_error_rows(tmp_path):
@@ -654,16 +660,21 @@ def test_unknown_filter_is_usage_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["generate", "denoise", "gof", "benchmark"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert run_cli([*subcommand_argv(tmp_path, command), "--seed", "-1"]) == 64
-    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command in ("generate", "benchmark"):
+        assert "argument --seed: must be a non-negative integer, got '-1'" in err
+    else:  # denoise and gof draw nothing, so they take no --seed
+        assert "unrecognized arguments: --seed -1" in err
+
 
 
 def test_each_subcommand_takes_the_settings_it_reads(tmp_path):
-    config = {"--seed", "--filter", "--levels", "--window-l", "--pfa", "--calib-reps"}
+    config = {"--filter", "--levels", "--window-l", "--pfa", "--calib-reps"}
     expected = {
         "generate": {"--n", "--snr", "--rho", "--out", "--seed"},
         "denoise": {"--clean", "--out", *config},
-        "gof": {"--json", "--seed", "--pfa", "--calib-reps"},
-        "benchmark": {"--signals", "--snrs", "--rhos", "--methods", "--seeds", "--n", "--out", *config},
+        "gof": {"--json", "--pfa", "--calib-reps"},
+        "benchmark": {"--signals", "--snrs", "--rhos", "--methods", "--seeds", "--n", "--out", "--seed", *config},
     }
     subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
     options = {

@@ -503,7 +503,7 @@ def test_null_pool_replication_is_the_pipeline_statistic():
         for r in (0, 57):
             g = np.random.default_rng(int(child[r]))
             noise = g.standard_normal((n, m))
-            _, rep = denoise(noise, cfg, rng=g)
+            _, rep = denoise(noise, cfg)
             for k in range(cfg.levels):
                 expected = rep.tau[k] if pools[k].shape[1] > 1 else rep.tau[k][:1]
                 assert np.allclose(pools[k][r], expected, rtol=1e-9, atol=1e-9)
@@ -512,7 +512,7 @@ def test_null_pool_replication_is_the_pipeline_statistic():
     for n in (512, 500, 2048):
         for r in range(6):
             g = np.random.default_rng(int(child[r]))
-            _, rep = denoise(g.standard_normal((n, m)), cfg, rng=g)
+            _, rep = denoise(g.standard_normal((n, m)), cfg)
             pools = _null_tau_pool(m, n, cfg, child[r : r + 1])
             for k in range(cfg.levels):
                 expected = rep.tau[k] if pools[k].shape[1] > 1 else rep.tau[k][:1]
@@ -541,7 +541,7 @@ def test_denoise_calibrates_the_unpadded_length():
     # simulated at 500 rows, where the pad mirrors noise as it mirrors data
     cfg = DenoiseConfig(calibration_reps=100, levels=4)
     x = np.random.default_rng(8).standard_normal((500, 2))
-    _, rep = denoise(x, cfg, rng=np.random.default_rng(9))
+    _, rep = denoise(x, cfg)
     assert np.array_equal(rep.thresholds, calibrate_thresholds(2, 500, cfg)[0])
 
 
@@ -552,8 +552,8 @@ def test_calibration_does_not_depend_on_noise_covariance():
     rng = np.random.default_rng(4)
     white = rng.standard_normal((512, 2))
     mixed = white @ np.array([[3.0, 0.0], [1.5, 0.4]])
-    _, a = denoise(white, cfg, rng=np.random.default_rng(5))
-    _, b = denoise(mixed, cfg, rng=np.random.default_rng(5))
+    _, a = denoise(white, cfg)
+    _, b = denoise(mixed, cfg)
     assert np.array_equal(a.thresholds, b.thresholds)
     assert np.array_equal([k.sum() for k in a.keep_masks], [k.sum() for k in b.keep_masks])
 
@@ -570,7 +570,7 @@ def test_pure_noise_marginal_retention_rate():
     kept = total = 0
     for seed in range(6):
         x = np.random.default_rng([60, seed]).standard_normal((1024, m))
-        _, rep = denoise(x, cfg, rng=np.random.default_rng([61, seed]))
+        _, rep = denoise(x, cfg)
         kept += sum(int(mask.sum()) for mask in rep.keep_masks)
         total += sum(mask.size for mask in rep.keep_masks)
     rate = kept / total
@@ -592,7 +592,7 @@ def test_gof_false_alarm_rate_at_its_default_key():
     rejected = 0
     for _ in range(inputs // batch):
         x = rng.standard_normal((batch, n, m))
-        tau = _scale_taus([x.transpose(1, 0, 2)], mcd_estimate(x, [rng] * batch), n)[0][:, 0]
+        tau = _scale_taus([x.transpose(1, 0, 2)], mcd_estimate(x), n)[0][:, 0]
         rejected += int((tau >= threshold).sum())
     se = math.sqrt(cfg.p_fa * (1.0 - cfg.p_fa) / inputs + sd**2 / cfg.calibration_reps)
     assert abs(rejected / inputs - cfg.p_fa) <= 3.0 * se
@@ -601,7 +601,7 @@ def test_gof_false_alarm_rate_at_its_default_key():
 def test_clean_structured_signal_passes_through():
     s = make_signal("heavydoppler3", 2048)
     cfg = DenoiseConfig(calibration_reps=200)
-    est, rep = denoise(s.channels, cfg, rng=np.random.default_rng(0))
+    est, rep = denoise(s.channels, cfg)
     assert average_snr_db(s.channels, est) >= 30.0
 
 
@@ -609,7 +609,7 @@ def test_noisy_heavydoppler_snr_recovers():
     s = make_signal("heavydoppler3", 2048)
     noisy, _ = add_noise(s, NoiseSpec(3, 0.0, 0.0), rng=np.random.default_rng(1))
     cfg = DenoiseConfig(calibration_reps=300)
-    est, rep = denoise(noisy, cfg, rng=np.random.default_rng(2))
+    est, rep = denoise(noisy, cfg)
     assert average_snr_db(s.channels, est) > 9.0
     assert est.shape == noisy.shape
 
@@ -618,7 +618,7 @@ def test_masks_reproduce_estimate_bit_identically():
     s = make_signal("heavydoppler3", 1024)
     noisy, _ = add_noise(s, NoiseSpec(3, 0.25, 0.0), rng=np.random.default_rng(3))
     cfg = DenoiseConfig(calibration_reps=150)
-    est, rep = denoise(noisy, cfg, rng=np.random.default_rng(4))
+    est, rep = denoise(noisy, cfg)
     dec = dwt_forward(noisy, get_filter(cfg.filter_name), cfg.levels)
     kept = [d * mask[:, None] for d, mask in zip(dec.details, rep.keep_masks)]
     again = dwt_inverse(dec.copy_with_details(kept))
@@ -648,12 +648,20 @@ def test_denoise_does_not_depend_on_its_seed():
         assert np.array_equal(p, q)
 
 
+def test_denoise_and_baseline_take_no_generator():
+    # both are functions of their input and config alone
+    x = np.random.default_rng(6).standard_normal((256, 2))
+    for fn in (denoise, baseline_universal):
+        with pytest.raises(TypeError, match="rng"):
+            fn(x, DenoiseConfig(), rng=np.random.default_rng(0))
+
+
 def test_denoising_is_nearly_idempotent():
     s = make_signal("heavydoppler3", 2048)
     noisy, _ = add_noise(s, NoiseSpec(3, 0.0, 0.0), rng=np.random.default_rng(6))
     cfg = DenoiseConfig(calibration_reps=300)
-    once, _ = denoise(noisy, cfg, rng=np.random.default_rng(7))
-    twice, _ = denoise(once, cfg, rng=np.random.default_rng(8))
+    once, _ = denoise(noisy, cfg)
+    twice, _ = denoise(once, cfg)
     e1 = float((once**2).sum())
     e2 = float((twice**2).sum())
     assert abs(e2 - e1) / e1 < 0.05
@@ -662,7 +670,7 @@ def test_denoising_is_nearly_idempotent():
 def test_report_contents_consistent():
     x = np.random.default_rng(9).standard_normal((512, 2))
     cfg = DenoiseConfig(calibration_reps=150)
-    _, rep = denoise(x, cfg, rng=np.random.default_rng(10))
+    _, rep = denoise(x, cfg)
     assert rep.thresholds.shape == (5,)
     for k, (tau, mask) in enumerate(zip(rep.tau, rep.keep_masks), start=1):
         assert tau.shape == mask.shape == (512 // 2**k,)
@@ -674,7 +682,7 @@ def test_univariate_fallback_runs():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(2048)
     cfg = DenoiseConfig(calibration_reps=150)
-    est, rep = denoise(x, cfg, rng=np.random.default_rng(12))
+    est, rep = denoise(x, cfg)
     assert est.shape == (2048, 1)
     assert rep.sigma.dim == 1
 
@@ -774,7 +782,7 @@ def test_baseline_thresholds_uniform_for_isotropic_noise():
     rng = np.random.default_rng(22)
     x = 2.0 * rng.standard_normal((2048, 2))
     cfg = DenoiseConfig()
-    est = baseline_universal(x, cfg, rng=np.random.default_rng(23))
+    est = baseline_universal(x, cfg)
     assert (est**2).sum() < 0.05 * (x**2).sum()
 
 
@@ -784,11 +792,11 @@ def test_baseline_kills_subthreshold_coefficients():
 
     rng = np.random.default_rng(24)
     x = rng.standard_normal((1024, 2))
-    est = baseline_universal(x, DenoiseConfig(), rng=np.random.default_rng(25))
+    est = baseline_universal(x, DenoiseConfig())
     # reproduce the contract: per-channel hard threshold from the covariance
     # eigenvalues, largest eigenvalue paired with the noisiest channel
     dec = dwt_forward(x, get_filter("db8"), 5)
-    sigma = mcd_estimate(dec.details[0], np.random.default_rng(25))
+    sigma = mcd_estimate(dec.details[0])
     thr = np.empty(2)
     eigenvalues = np.linalg.eigh(sigma.sigma)[0][::-1]
     thr[np.argsort(-np.diag(sigma.sigma), kind="stable")] = np.sqrt(2.0 * eigenvalues * np.log(1024))
@@ -801,7 +809,7 @@ def test_baseline_kills_subthreshold_coefficients():
 def test_baseline_beats_nothing_on_signal():
     s = make_signal("heavydoppler3", 2048)
     noisy, _ = add_noise(s, NoiseSpec(3, 0.0, 0.0), rng=np.random.default_rng(28))
-    est = baseline_universal(noisy, DenoiseConfig(), rng=np.random.default_rng(29))
+    est = baseline_universal(noisy, DenoiseConfig())
     assert average_snr_db(s.channels, est) > average_snr_db(s.channels, noisy)
 
 
@@ -814,12 +822,12 @@ def test_null_fits_each_batch_with_one_mcd_call(monkeypatch):
     calls = []
     fit = denoiser.mcd_estimate
 
-    def counted(coeffs, rng):
-        calls.append((np.shape(coeffs), len(rng)))
-        return fit(coeffs, rng)
+    def counted(coeffs):
+        calls.append(np.shape(coeffs))
+        return fit(coeffs)
 
     monkeypatch.setattr(denoiser, "mcd_estimate", counted)
     monkeypatch.setenv("MVDENOISE_THREADS", "1")  # every batch in this process
     monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
     calibrate_thresholds(m, n, cfg)
-    assert calls == [((64, 256, m), 64), ((64, 256, m), 64), ((22, 256, m), 22)]
+    assert calls == [(64, 256, m), (64, 256, m), (22, 256, m)]

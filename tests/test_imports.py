@@ -1,5 +1,6 @@
 """Every name a package module imports is used by that module, every
 private module-level name of the package is read somewhere in it, every
+parameter of a package function is read in its body, every
 Sphinx cross-reference in a package docstring names something that exists,
 the command line neither imports scipy or mpmath nor needs them, every
 program name the benchmark's tracer reaches into and every output field its
@@ -107,6 +108,45 @@ def test_detector_flags_an_unread_private_name():
     caller = "import module\nmodule._helper()\n_LOCAL: int = 6\n_LOCAL = 7\n"
     assert unread_private_names([module, caller]) == {"_UNREAD", "_TOO", "_LOCAL"}
     assert unread_private_names([module]) == {"_UNREAD", "_TOO", "_helper"}
+
+
+# (module file, function, parameter) -> why a parameter its function never reads stays
+UNREAD_PARAMETERS_KEPT = {
+    ("robustcov.py", "mcd_estimate", "rng"): "perfbench/tracing.py still passes a generator positionally",
+}
+
+
+def unread_parameters(source: str) -> set:
+    """(function, parameter) of every parameter that its function's body never
+    loads, nested functions included; a lambda is named ``<lambda>``."""
+    unread = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread.update((getattr(node, "name", "<lambda>"), a.arg) for a in params if a.arg not in read)
+    return unread
+
+
+def test_every_parameter_is_read():
+    package = sorted(Path(mvdenoise.__file__).parent.glob("*.py"))
+    unread = {(p.name, *pair) for p in package for pair in unread_parameters(p.read_text(encoding="utf-8"))}
+    assert unread == set(UNREAD_PARAMETERS_KEPT)
+
+
+def test_detector_flags_an_unread_parameter():
+    source = (
+        "def f(a, /, b, *rest, c=1, **opts):\n"
+        "    def inner():\n"
+        "        return b + len(rest)\n"
+        "    a = 2\n"
+        "    return inner()\n"
+        "g = lambda x, y: x\n"
+    )
+    assert unread_parameters(source) == {("f", "a"), ("f", "c"), ("f", "opts"), ("<lambda>", "y")}
 
 
 CROSS_REFERENCE = re.compile(r":(?:func|class|meth|mod):`([^`]+)`")
@@ -242,18 +282,26 @@ def test_names_the_benchmark_tracer_uses_exist():
 
 @pytest.mark.filterwarnings("ignore:calibration_reps")
 def test_outputs_the_benchmark_harness_reads_exist(tmp_path, capsys):
-    # perfbench/run.py reads these of a library DenoiseReport, of report.json
-    # and of gof --json; a rename must fail here before it breaks the harness
+    # perfbench/run.py and tracing.py make these library calls, and read these
+    # fields of a DenoiseReport, of report.json and of gof --json; a rename or
+    # a removed argument must fail here before it breaks the harness
     clean = np.outer(np.sin(np.linspace(0.0, 12.0, 256)), [1.0, 2.0, 3.0])
     x = clean + np.random.default_rng(0).standard_normal(clean.shape)
     np.savetxt(tmp_path / "clean.csv", clean, delimiter=",")
     np.savetxt(tmp_path / "noisy.csv", x, delimiter=",")
     noisy = str(tmp_path / "noisy.csv")
 
-    _, report = mvdenoise.denoise(x, mvdenoise.DenoiseConfig(calibration_reps=150))
+    # in the harness's form: a config with a seed, positional configs, and a
+    # generator passed to mcd_estimate positionally
+    cfg = mvdenoise.DenoiseConfig(calibration_reps=150, seed=0)
+    assert mvdenoise.DenoiseConfig(seed=0).seed == 0
+    _, report = mvdenoise.denoise(x, cfg)
     for name in ("thresholds", "null_retention_sd", "keep_masks", "tau"):
         assert len(getattr(report, name)) == 5
     assert report.sigma.sigma.shape == (3, 3) and report.retained_fraction().shape == (5,)
+    assert mvdenoise.baseline_universal(x, cfg).shape == x.shape
+    fit = mvdenoise.mcd_estimate(x, np.random.default_rng(0))
+    assert np.array_equal(fit.sigma, mvdenoise.mcd_estimate(x).sigma)
 
     assert main(["denoise", noisy, "--clean", str(tmp_path / "clean.csv"), "--out", str(tmp_path / "den"), "--calib-reps", "150"]) == 0
     written = json.loads((tmp_path / "den" / "report.json").read_text())
