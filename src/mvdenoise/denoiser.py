@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import gofstat
 from .gofstat import make_reference, reference_cdf
-from .robustcov import CovarianceMatrix, _solve_lower, mcd_estimate
+from .robustcov import CovarianceMatrix, _squared_distances, mcd_estimate
 from .wavelet import dwt_forward, dwt_inverse, expected_block_lengths, get_filter
 
 # Replications per calibration batch: reps * N * (window + 1) / 2 stays under
@@ -170,22 +170,21 @@ def _scale_taus(details, sigmas, window: int) -> list:
     noise covariance estimates; the result is one (c, B) array per scale.
     ``denoise`` scores its input through here with c = 1, and the null
     through here with c replications, so the two compute one statistic.
-    Finite rows whose whitened values overflow float64 (under an estimate
-    too close to singular for them) raise ``ValueError`` that says so.
+    Every scale of every signal is whitened by one
+    :func:`~mvdenoise.robustcov._squared_distances` call, which gives each
+    signal the bits of its lone call.  Finite rows whose squared distance is
+    not finite (past the float64 range, under an estimate too close to
+    singular for them) raise ``ValueError`` that says so, and no
+    ``RuntimeWarning``.
     """
     m = details[0].shape[-1]
-    # v -> v^T sigma^{-1} v evaluated as |ichol v|^2, one factor per signal
-    ichol = _solve_lower(np.stack([s.chol for s in sigmas]), np.eye(m))
     # every scale's squared distances side by side, so the CDF runs once
-    zs = (np.einsum("cij,bcj->cbi", ichol, d) for d in details)
-    sq = np.concatenate([np.einsum("cbi,cbi->cb", z, z) for z in zs], axis=1)
-    try:
-        cdf = reference_cdf(make_reference(m), sq)
-    except ValueError as exc:
-        # a sum of squares is NaN only where +inf met -inf in z
+    sq = _squared_distances(np.concatenate(details).transpose(1, 0, 2), np.stack([s.chol for s in sigmas]))
+    if not np.isfinite(sq).all():
         raise ValueError(
             "whitened coefficients overflow float64: the covariance estimate is too close to singular for this input"
-        ) from exc
+        )
+    cdf = reference_cdf(make_reference(m), sq)
     lf, l1f = gofstat.clamped_log_cdf(cdf)
     del sq, cdf  # only the (c, B) logs stay alive while the windows are scored
     ends = np.cumsum([d.shape[0] for d in details])[:-1]
@@ -214,8 +213,8 @@ def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
     and returns one (replications, values per replication) array per scale.
     The batch's finest-scale blocks are fitted as one stack, by one
     :func:`~mvdenoise.robustcov.mcd_estimate` call: each estimate equals
-    that block's lone fit bit for bit, and the stack shares each C-step's
-    inversion across the batch.  The fit draws nothing.
+    that block's lone fit bit for bit, and the batch shares each C-step's
+    inversion and one reweighting.  The fit draws nothing.
     A block no wider than the window is one shared window per replication:
     it contributes a single value each.  Replication r draws from the
     generator seeded by ``child_seeds[r]`` alone, but the rounding of its
@@ -406,11 +405,11 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     count, and are folded in order, so the result is too; other batch cuts
     would move the pooled statistics by up to 1.5e-12 (see
     :func:`_null_tau_pool`).  On 2 cores a fresh (3, 2048, 1000)
-    calibration took 0.96 to 1.15 s over two workers and 1.64 to 2.28 s on
+    calibration took 0.69 to 1.18 s over two workers and 1.20 to 1.47 s on
     one, with the three BLAS thread variables unset or at 1 (4 runs each).
     With none of them and no ``MVDENOISE_THREADS`` set, a cold CLI
     ``denoise`` of a default 2048 x 3 input, most of it that calibration,
-    took 1.34 to 1.69 s on the two workers of :func:`worker_rule` (6 runs).
+    took 0.87 to 0.93 s on the two workers of :func:`worker_rule` (6 runs).
     """
     if not _is_number(n_channels, Integral) or n_channels < 1:
         raise ValueError("need at least one channel")

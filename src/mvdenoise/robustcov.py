@@ -17,8 +17,11 @@ The C-steps add it to every candidate scatter, and :func:`mcd_estimate`
 owns both fallbacks that keep a degenerate block usable, each with a
 warning: a rank-deficient block gives its ridged scatter, and a
 rank-deficient final estimate (an exact fit: most rows zero, say) gets the
-ridge.  One rank rule, :func:`_full_rank`, decides both.  Every caller,
-``denoise``, its null and ``gof`` alike, takes them.
+ridge.  One rank rule, :func:`_full_rank`, decides three things: which
+blocks are fitted, which raw estimates are reweighted, and which final
+estimates take the ridge.  Every caller, ``denoise``, its null and ``gof``
+alike, takes them.  Every squared distance v^T S^{-1} v outside the C-steps
+goes through :func:`_squared_distances`.
 """
 
 from __future__ import annotations
@@ -82,29 +85,20 @@ class CovarianceMatrix:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         if not np.isfinite(rows).all():
             raise ValueError("rows must not contain infs or NaNs")
-        z = _solve_lower(self.chol, rows.T)
-        return np.einsum("ij,ij->j", z, z)
+        return _squared_distances(rows, self.chol)
 
 
-def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """chol^{-1} b for a lower-triangular (..., M, M) factor and an (..., M, k) block.
+def _squared_distances(x: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """|v L^{-T}|^2 = v^T (L L^T)^{-1} v of each row v of an (..., n, M) block under its (..., M, M) factor L.
 
-    Forward substitution over the M rows, each one elementwise operation at
-    a time: z_i = (b_i - sum_{j<i} chol_ij z_j) / chol_ii, subtracting in
-    order of j.  So every entry of the result takes the same operations
-    whatever the other factors of a stack or the other columns of b: a
-    stacked solve equals each factor's own solve bit for bit.  The factor
-    must be nonsingular and both arrays finite.
+    Each factor is inverted, and each block multiplied, as a lone block's
+    is, so a stacked call equals the lone calls bit for bit.  A distance
+    past the float64 range is inf or NaN, with no warning: the caller
+    decides what an overflow means.
     """
-    m = chol.shape[-1]
-    z = np.empty(np.broadcast_shapes(chol.shape[:-2], b.shape[:-2]) + b.shape[-2:])
-    for i in range(m):
-        zi = z[..., i, :]
-        np.copyto(zi, b[..., i, :])
-        for j in range(i):
-            zi -= chol[..., i, j, None] * z[..., j, :]
-        zi /= chol[..., i, i, None]
-    return z
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.matmul(x, np.swapaxes(np.linalg.inv(chol), -1, -2))
+        return np.einsum("...i,...i->...", z, z)
 
 
 def _ridge(scatter: np.ndarray):
@@ -173,8 +167,10 @@ class _Concentrator:
     matrix product rounds depends on its shape, so each block's candidates
     are cut into the chunks a lone block's are, and each chunk runs a lone
     fit's operations on its own: the distance product, the partition, the
-    comparison and the subset-sum product.  A stack shares only the one
-    inversion of all its candidates' scatters.  :meth:`starts` gives each
+    comparison and the subset-sum product.  A stack shares only numpy calls
+    whose arithmetic runs per block: each step's inversion of all its
+    candidates' scatters, and :meth:`_weighted`, which the starts and the
+    reweighting use.  :meth:`starts` gives each
     block's first candidates.
     """
 
@@ -303,18 +299,19 @@ def mcd_estimate(coeffs, rng=None):
     A (c, n, M) stack of same-shape blocks returns the list of their c
     estimates, each equal bit for bit to its block's lone fit: each block's
     starts and C-steps run a lone fit's operations alongside the other
-    blocks' (see :class:`_Concentrator`), chunk by chunk, and the blocks of
-    a stack share only each step's inversion.  A lone block is the stack of
-    one.  The calibration in :mod:`mvdenoise.denoiser` fits each batch of
-    replications as one stack.
+    blocks' (see :class:`_Concentrator`), chunk by chunk, and the one
+    reweighting of the whole stack computes each block as its lone fit
+    does.  A lone block is the stack of one.  The calibration in
+    :mod:`mvdenoise.denoiser` fits each batch of replications as one stack.
 
-    One rank rule, :func:`_full_rank`, decides both fallbacks, each with a
-    warning.  A rank-deficient block (linearly dependent channels, say) has
-    no MCD estimate: it returns the block's scatter about zero plus the
-    ridge of :func:`_ridge`.  A rank-deficient final estimate (an exact fit
-    of its minimal-determinant subset) gets the same ridge.  Each block of
-    a stack warns on its own, in block order.  A block whose scatter
-    overflows float64 (entries near 1e154 and larger) has no representable
+    One rank rule, :func:`_full_rank`, decides whether the raw estimate is
+    reweighted, and both fallbacks, each with a warning.  A rank-deficient
+    block (linearly dependent channels, say) has no MCD estimate: it
+    returns the block's scatter about zero plus the ridge of
+    :func:`_ridge`.  A rank-deficient final estimate (an exact fit of its
+    minimal-determinant subset) gets the same ridge.  Each block of a stack
+    warns on its own, in block order.  A block whose scatter overflows
+    float64 (entries near 1e154 and larger) has no representable
     covariance and raises ``ValueError``, as does a stack holding one.
 
     Parameters
@@ -371,14 +368,14 @@ def _fit_stack(x: np.ndarray, full_scatter: np.ndarray) -> np.ndarray:
     h = (n + m + 1) // 2
     conc = _Concentrator(x, h, full_scatter)
     scatters = conc.starts(full_scatter)
+    t = scatters.shape[1]
+    flat_scatters = scatters.reshape(c * t, m, m)
     # the starts enter with empty subsets, which no step reproduces
-    subsets = np.zeros(scatters.shape[:2] + (n,), dtype=bool)
+    flat_subsets = np.zeros((c * t, n), dtype=bool)
 
     # Iterate each block's starts until every subset is a fixed
     # point.  Only those whose subset moved in the last step are stepped
     # again: a subset that maps to itself, with its scatter, keeps doing so.
-    t = scatters.shape[1]
-    flat_scatters, flat_subsets = scatters.reshape(c * t, m, m), subsets.reshape(c * t, n)
     moving = np.arange(c * t)
     for _ in range(_MAX_REFINE):
         counts = np.bincount(moving // t, minlength=c).tolist()
@@ -390,22 +387,17 @@ def _fit_stack(x: np.ndarray, full_scatter: np.ndarray) -> np.ndarray:
             break
     sign, logdets = np.linalg.slogdet(scatters)
     logdets[sign <= 0] = np.inf
-    sigmas = []
-    for xj, sub, best in zip(x, subsets, np.argmin(logdets, axis=1)):
-        rows = xj[sub[best]]
-        sigma = _consistency_factor(h / n, m) * (rows.T @ rows) / rows.shape[0]
+    # the raw estimate: the least-determinant fixed point's scatter, made consistent
+    sigmas = _consistency_factor(h / n, m) * scatters[np.arange(c), np.argmin(logdets, axis=1)]
 
-        # One-step reweighting: keep rows whose squared distance under the
-        # raw estimate is plausible for Gaussian data, then rescale.  This
-        # recovers most of the efficiency the h-subset scatter gives up.
-        try:
-            d2 = CovarianceMatrix.from_matrix(sigma).quadratic_form(xj)
-        except SingularCovarianceError:
-            pass
-        else:
-            kept = d2 <= _chi2_quantile(_REWEIGHT_MASS, m)
-            if kept.sum() > m:
-                xk = xj[kept]
-                sigma = _consistency_factor(_REWEIGHT_MASS, m) * (xk.T @ xk) / kept.sum()
-        sigmas.append(sigma)
-    return np.array(sigmas)
+    # One-step reweighting: keep rows whose squared distance under the raw
+    # estimate is plausible for Gaussian data, then rescale.  This recovers
+    # most of the efficiency the h-subset scatter gives up.  A raw estimate
+    # that fails the rank rule is kept (its block whitens under I, unused).
+    fit = _full_rank(sigmas)
+    chol = np.linalg.cholesky(np.where(fit[:, None, None], sigmas, np.eye(m)))
+    kept = (_squared_distances(x, chol) <= _chi2_quantile(_REWEIGHT_MASS, m)) & fit[:, None]
+    sizes = np.count_nonzero(kept, axis=1)
+    more = sizes > m
+    sigmas[more] = _consistency_factor(_REWEIGHT_MASS, m) * conc._weighted(kept.astype(float))[more] / sizes[more, None, None]
+    return sigmas

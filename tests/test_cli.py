@@ -206,6 +206,12 @@ def test_overflowing_covariance_is_geometry_error(tmp_path, capsys, command):
     assert "coefficient covariance overflows float64" in capsys.readouterr().err
 
 
+OVERFLOW_MESSAGE = (
+    "invalid signal geometry: whitened coefficients overflow float64: "
+    "the covariance estimate is too close to singular for this input"
+)
+
+
 @pytest.mark.parametrize("command", ["denoise", "gof"])
 def test_statistic_that_overflows_to_nan_is_geometry_error(tmp_path, capsys, command):
     # finite rows, most of them tiny and on one line (x2 = 2 x1), the rest
@@ -229,9 +235,31 @@ def test_statistic_that_overflows_to_nan_is_geometry_error(tmp_path, capsys, com
     p = tmp_path / "x.csv"
     np.savetxt(p, x, delimiter=",", fmt="%.17g")
     assert np.isfinite(read_csv(p)).all()
-    assert run_cli([command, str(p), *extra, *FAST]) == 3
-    assert "whitened coefficients overflow float64" in capsys.readouterr().err
+    # numpy's overflow warnings stay inside the whitening: a warning that
+    # reached this record would reach a CLI process's stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([command, str(p), *extra, *FAST]) == 3
+    assert capsys.readouterr().err.splitlines() == [OVERFLOW_MESSAGE]
+    assert [str(w.message) for w in caught] == []
     assert not (tmp_path / "den" / "denoised.csv").exists()
+
+
+def test_statistic_that_overflows_to_inf_is_geometry_error(tmp_path, capsys):
+    # tiny rows in general position under huge ones: the squared distances
+    # of the huge rows overflow to +inf and meet no -inf, so no NaN flags
+    # them.  A distance that is not finite is an overflow, or gof would
+    # report a tau of 2393 and call the input signal
+    rng = np.random.default_rng(9)
+    x = np.vstack([1e-153 * rng.standard_normal((320, 2)), 1e100 * rng.standard_normal((192, 2))])
+    p = tmp_path / "x.csv"
+    np.savetxt(p, x, delimiter=",", fmt="%.17g")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["gof", str(p), "--json", *FAST]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [OVERFLOW_MESSAGE]
+    assert [str(w.message) for w in caught] == []
 
 
 def test_denoise_noise_free_steps_take_the_ridge(tmp_path):

@@ -32,7 +32,7 @@ from mvdenoise.denoiser import (
     worker_count,
     worker_rule,
 )
-from mvdenoise.robustcov import CovarianceMatrix, _solve_lower, mcd_estimate
+from mvdenoise.robustcov import CovarianceMatrix, _squared_distances, mcd_estimate
 from mvdenoise.siggen import NoiseSpec, add_noise, average_snr_db, make_signal
 from mvdenoise.wavelet import dwt_forward, dwt_inverse, get_filter
 
@@ -106,15 +106,20 @@ def test_window_size_must_be_even():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_whitening_factor_matches_solve_triangular_bits(m):
-    # _scale_taus whitens by chol^{-1}, a numpy forward substitution.
-    # scipy.linalg.solve_triangular (LAPACK dtrtrs), its old route, is the
-    # oracle: the two sum in different orders, so they agree to rounding
-    # only.  Over 2000 factors per M = 1..6 the largest error was 4.8e-16
-    # of the largest entry; the bound leaves a margin of 4.
-    a = np.random.default_rng([30, m]).standard_normal((m, m))
-    chol = CovarianceMatrix.from_matrix(a @ a.T + 0.5 * np.eye(m)).chol
-    ref = solve_triangular(chol, np.eye(m), lower=True)
-    assert np.abs(_solve_lower(chol, np.eye(m)) - ref).max() <= 2e-15 * np.abs(ref).max()
+    # _scale_taus whitens a stack of signals by their inverse Cholesky
+    # factors, one matrix product each.  scipy.linalg.solve_triangular
+    # (LAPACK dtrtrs), a triangular solve per factor, is the oracle: the two
+    # sum in different orders, so they agree to rounding only.  Over 200
+    # stacks of 10 factors per M = 1..8 the largest relative error of a
+    # squared distance was 1.7e-15; the bound leaves a margin of 2.
+    rng = np.random.default_rng([30, m])
+    a = rng.standard_normal((4, m, m))
+    chols = np.stack([CovarianceMatrix.from_matrix(s @ s.T + 0.5 * np.eye(m)).chol for s in a])
+    x = rng.standard_normal((4, 100, m))
+    for chol, rows, d in zip(chols, x, _squared_distances(x, chols)):
+        z = solve_triangular(chol, rows.T, lower=True)
+        ref = np.einsum("ij,ij->j", z, z)
+        assert (np.abs(d - ref) <= 4e-15 * ref).all()
 
 
 def test_vectorized_tau_matches_scalar_reference():

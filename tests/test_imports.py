@@ -299,6 +299,11 @@ def test_outputs_the_benchmark_harness_reads_exist(tmp_path, capsys):
     for name in ("thresholds", "null_retention_sd", "keep_masks", "tau"):
         assert len(getattr(report, name)) == 5
     assert report.sigma.sigma.shape == (3, 3) and report.retained_fraction().shape == (5,)
+    # the traced run whitens every detail block by the report's estimate
+    dec = mvdenoise.dwt_forward(x, mvdenoise.get_filter(cfg.filter_name), cfg.levels)
+    for d in dec.details:
+        y = report.sigma.quadratic_form(d)
+        assert y.shape == (d.shape[0],) and np.isfinite(y).all()
     assert mvdenoise.baseline_universal(x, cfg).shape == x.shape
     fit = mvdenoise.mcd_estimate(x, np.random.default_rng(0))
     assert np.array_equal(fit.sigma, mvdenoise.mcd_estimate(x).sigma)

@@ -11,8 +11,8 @@ from mvdenoise.robustcov import (
     SingularCovarianceError,
     _chi2_quantile,
     _consistency_factor,
-    _solve_lower,
     _ridge,
+    _squared_distances,
     mcd_estimate,
 )
 
@@ -64,10 +64,11 @@ def test_quadratic_form_positive_definite():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_quadratic_form_matches_solve_triangular_bits(m):
-    # oracle: the scipy.linalg.solve_triangular route quadratic_form took
-    # before its numpy forward substitution.  They sum in different orders;
-    # over 2000 factors of 300 rows per M = 1..6 the largest relative error
-    # was 1.3e-15, and the bound leaves a margin of 3.
+    # oracle: scipy.linalg.solve_triangular (LAPACK dtrtrs), the route
+    # quadratic_form took before it multiplied by the inverse factor.  They
+    # sum in different orders; over 2000 factors of 300 rows per M = 1..8
+    # the largest relative error was 1.9e-15, and the bound leaves a margin
+    # of 2.
     rng = np.random.default_rng([20, m])
     a = rng.standard_normal((m, m))
     cov = CovarianceMatrix.from_matrix(a @ a.T + 0.5 * np.eye(m))
@@ -78,21 +79,25 @@ def test_quadratic_form_matches_solve_triangular_bits(m):
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_stacked_solve_equals_lone_solves_bit_for_bit(m):
-    # _scale_taus solves every signal's factor in one call, and the MCD
-    # reweighting solves a block's rows together: neither another factor of
-    # the stack nor another column of the block changes a result bit
+def test_stacked_distances_equal_lone_distances_bit_for_bit(m):
+    # _scale_taus whitens every signal of a batch in one call, on a strided
+    # (n, c, M) -> (c, n, M) view, and the MCD reweighting whitens a whole
+    # stack: neither another block of the stack, nor the layout, nor another
+    # row of a block changes a result bit.  A block of one row takes numpy's
+    # vector-matrix route and may differ in the last place, so the subsets
+    # here keep at least two rows.
     rng = np.random.default_rng([22, m])
     a = rng.standard_normal((5, m, m))
     chols = np.linalg.cholesky(a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(m))
-    b = rng.standard_normal((5, m, 40))
-    stacked = _solve_lower(chols, b)
-    for chol, rhs, z in zip(chols, b, stacked):
-        assert np.array_equal(_solve_lower(chol, rhs), z)
-        assert all(np.array_equal(_solve_lower(chol, rhs[:, j : j + 1]), z[:, j : j + 1]) for j in range(rhs.shape[1]))
-        assert np.array_equal(_solve_lower(chol, rhs[:, ::-1]), z[:, ::-1])
-    # one right-hand side shared by the stack, as the whitening factors take np.eye
-    assert np.array_equal(_solve_lower(chols, np.eye(m)), np.stack([_solve_lower(c, np.eye(m)) for c in chols]))
+    x = rng.standard_normal((5, 40, m))
+    stacked = _squared_distances(x, chols)
+    strided = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert np.array_equal(_squared_distances(strided, chols), stacked)
+    for chol, rows, d in zip(chols, x, stacked):
+        assert np.array_equal(_squared_distances(rows, chol), d)
+        assert np.array_equal(_squared_distances(rows[::-1], chol), d[::-1])
+        for subset in (slice(0, 2), slice(7, 33), slice(1, None, 3), rng.permutation(40)[:17]):
+            assert np.array_equal(_squared_distances(rows[subset], chol), d[subset])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
