@@ -220,6 +220,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _median(values: np.ndarray) -> float:
+    # np.median's value bit for bit, the mean of the middle pair (of the middle
+    # value with itself at an odd count), without its first call importing numpy.ma
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    part = np.partition(values, [lo, hi])
+    return float((part[lo] + part[hi]) / 2)
+
+
 def cmd_denoise(args) -> int:
     cfg = _config_from(args)
     x = read_csv(args.input)
@@ -245,7 +253,7 @@ def cmd_denoise(args) -> int:
         "manifest": MANIFEST_NAME,
         "thresholds": [float(t) for t in report.thresholds],
         "tau_summary": [
-            {"scale": k + 1, "min": float(t.min()), "median": float(np.median(t)), "max": float(t.max())}
+            {"scale": k + 1, "min": float(t.min()), "median": _median(t), "max": float(t.max())}
             for k, t in enumerate(report.tau)
         ],
         "keep_masks": [mask.astype(int).tolist() for mask in report.keep_masks],

@@ -3,7 +3,8 @@
 The chain: decompose the signal channel-wise, estimate the noise covariance
 robustly from the finest-scale coefficients, calibrate a per-scale decision
 threshold by Monte Carlo for a target false-alarm probability (simulating the
-statistic with an estimated covariance, as it is computed on data), slide a window
+statistic with an estimated covariance, as it is computed on data; the
+default settings' thresholds ship precomputed), slide a window
 over each detail block scoring the local empirical distribution of squared
 Mahalanobis distances against the reference law, zero every coefficient whose
 window looks like pure noise, and reconstruct.  A channel-wise
@@ -337,6 +338,50 @@ def worker_count(jobs: int) -> int:
 _CALIBRATION_SEED = 0
 # (channels, input length, config without its seed, window set) -> (thresholds, retention sd)
 _NULL_CACHE: dict = {}
+# The shipped table of calibrated keys, written by tools/build_thresholds.py.
+# _THRESHOLD_TABLE is None until the first memo miss of a process reads it;
+# an empty table is a table that was missing or unreadable, or bypassed.
+_TABLE_PATH = os.path.join(os.path.dirname(__file__), "thresholds.json")
+_THRESHOLD_TABLE: dict | None = None
+
+
+def _memo_key(n_channels: int, n_samples: int, config: DenoiseConfig) -> tuple:
+    # the one key of the memo and of the table: the window filled in, the inert seed dropped
+    return (n_channels, n_samples, replace(config, seed=None, window_l=config.window_size(n_channels)))
+
+
+def _read_table(path: str) -> dict:
+    """The calibrated keys of the table at ``path``: key -> (thresholds, retention sd).
+
+    Each entry names its key by its channel count, its length and the
+    fields of its config that differ from ``DenoiseConfig()``, and holds
+    one threshold and one retention spread per scale.  A file that cannot
+    be read or parsed, or any entry whose config is not its own
+    :func:`_memo_key` or whose arrays do not hold one value per scale,
+    gives an empty table: every key then calibrates.
+    """
+    import json  # not at import: only a process that misses its memo reads the table
+
+    table = {}
+    try:
+        with open(path, encoding="utf-8") as f:
+            for entry in json.load(f):
+                key = (entry["n_channels"], entry["n_samples"], DenoiseConfig(**entry["config"]))
+                arrays = [np.array(entry[name], dtype=np.float64) for name in ("thresholds", "null_retention_sd")]
+                if _memo_key(*key) != key or any(a.shape != (key[2].levels,) for a in arrays):
+                    return {}
+                table[key] = tuple(arrays)
+    except (OSError, ValueError, TypeError, KeyError):
+        return {}
+    return table
+
+
+def _table() -> dict:
+    # the shipped table, read by the first call of a process
+    global _THRESHOLD_TABLE
+    if _THRESHOLD_TABLE is None:
+        _THRESHOLD_TABLE = _read_table(_TABLE_PATH)
+    return _THRESHOLD_TABLE
 
 
 def _adopt_memo(memo: dict) -> None:
@@ -379,8 +424,19 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     The null law depends on the geometry and test settings only, never on
     the data or its noise covariance, so one Monte Carlo pool per key (the
     channel count, the length, and the configuration with its window set
-    and its inert seed dropped) serves every call: the result is memoised
-    per key, and every :func:`_pool_map` worker starts with the memo.  Each replication is padded by
+    and its inert seed dropped, :func:`_memo_key`) serves every call: the
+    result is memoised per key, and every :func:`_pool_map` worker starts
+    with the memo.  A key is looked up in the memo, then in the table
+    shipped with the package (``thresholds.json``, written by
+    ``tools/build_thresholds.py``), and only then calibrated.  The table
+    holds the default settings at 1 to 8 channels and lengths 2^8 to 2^14,
+    and ``gof``'s key for 2^7 to 2^13 rows; a hit is memoised like a
+    calibration.  The first memo miss of a process reads the table, and a
+    missing or unreadable table (see :func:`_read_table`) is an empty one.
+    On the machine that built it, an entry equals a fresh calibration bit
+    for bit; elsewhere BLAS may round the last bits differently.  The
+    warning on a low ``calibration_reps`` is issued before any lookup, so a
+    hit warns as a calibration does.  Each replication is padded by
     ``dwt_forward`` exactly as an input of ``n_samples`` rows is, so a
     non-dyadic length is simulated with the mirrored rows its pad
     duplicates, and a geometry ``denoise`` rejects raises the same
@@ -423,7 +479,9 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
             RuntimeWarning,
         )
     window = config.window_size(n_channels)
-    key = (n_channels, n_samples, replace(config, seed=None, window_l=window))
+    key = _memo_key(n_channels, n_samples, config)
+    if key not in _NULL_CACHE and key in _table():
+        _NULL_CACHE[key] = _table()[key]
     if key not in _NULL_CACHE:
         # a geometry denoise rejects raises its ValueError here, before any pool opens
         _decompose(np.zeros((n_samples, 1)), config)

@@ -653,6 +653,50 @@ def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeyp
     assert outputs["2"] == outputs["1"]
 
 
+def test_default_denoise_and_gof_read_the_shipped_thresholds(tmp_path, monkeypatch, capsys):
+    # a fresh process's default denoise of 2048 x 3 and gof of 512 x 4: both
+    # keys are in the table, so neither calibrates, and the reports carry the
+    # table's values and calibration's warning
+    forbid_calibration(monkeypatch)
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    monkeypatch.setattr(denoiser, "_THRESHOLD_TABLE", None)
+    table = denoiser._read_table(denoiser._TABLE_PATH)
+    assert run_cli(["generate", "heavydoppler3", "--n", "2048", "--seed", "3", "--out", str(tmp_path)]) == 0
+    np.savetxt(tmp_path / "gof.csv", np.random.default_rng(22).standard_normal((512, 4)), delimiter=",")
+    assert run_cli(["denoise", str(tmp_path / "noisy.csv"), "--out", str(tmp_path / "den")]) == 0
+    capsys.readouterr()
+    assert run_cli(["gof", str(tmp_path / "gof.csv"), "--json"]) == 0
+    gof = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    report = json.loads((tmp_path / "den" / "report.json").read_text())
+    denoise_key = denoiser._memo_key(3, 2048, denoiser.DenoiseConfig())
+    gof_key = denoiser._memo_key(4, 1024, denoiser.DenoiseConfig(levels=1, window_l=512))
+    assert report["thresholds"] == table[denoise_key][0].tolist()
+    assert report["null_retention_sd"] == table[denoise_key][1].tolist()
+    assert gof["threshold"] == table[gof_key][0][0]
+    message = "calibration_reps=1000 is below 10/p_fa=2000; threshold quantile resolution is coarse"
+    assert report["warnings"] == gof["warnings"] == [message]
+
+
+_COLD_DENOISE = """
+import sys
+from mvdenoise.cli import main
+rc = main(sys.argv[1:])
+print(rc, "numpy.ma" in sys.modules)
+"""
+
+
+def test_cold_denoise_does_not_import_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma, about 10 ms of a cold call
+    x = tmp_path / "x.csv"
+    np.savetxt(x, np.random.default_rng(23).standard_normal((256, 2)), delimiter=",")
+    env = dict(os.environ, MVDENOISE_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _COLD_DENOISE, "denoise", str(x), "--out", str(tmp_path / "den")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert len(json.loads((tmp_path / "den" / "report.json").read_text())["tau_summary"]) == 5
+
+
 def test_benchmark_short_signal_is_usage_error(tmp_path, capsys):
     assert run_cli([*bench_args(tmp_path / "b", seeds=1), "--n", "128"]) == 64
     assert "n must be >= 256" in capsys.readouterr().err

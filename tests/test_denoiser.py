@@ -1,4 +1,6 @@
 import concurrent.futures
+import importlib.util
+import json
 import math
 import multiprocessing
 import os
@@ -8,6 +10,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +405,117 @@ def test_memo_key_is_the_config_without_its_seed(monkeypatch):
         again = calibrate_thresholds(2, 512, same)
         assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])
     assert list(denoiser._NULL_CACHE) == [(2, 512, DenoiseConfig(calibration_reps=150, levels=3, window_l=56))]
+
+
+# ------------------------------------------------------ shipped thresholds
+
+
+def build_grid():
+    # the keys tools/build_thresholds.py calibrates, as memo keys
+    path = Path(__file__).resolve().parents[1] / "tools" / "build_thresholds.py"
+    spec = importlib.util.spec_from_file_location("build_thresholds", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)  # defines the grid, and runs nothing
+    return [denoiser._memo_key(m, n, DenoiseConfig(**fields)) for m, n, fields in script.GRID]
+
+
+def test_threshold_table_holds_exactly_the_build_grid():
+    grid = build_grid()
+    assert len(grid) == len(set(grid)) == 112
+    entries = json.loads(Path(denoiser._TABLE_PATH).read_text(encoding="utf-8"))
+    assert [(e["n_channels"], e["n_samples"], DenoiseConfig(**e["config"])) for e in entries] == grid
+    # the reader keeps a table only if every entry is its own memo key, with one value per scale
+    assert list(denoiser._read_table(denoiser._TABLE_PATH)) == grid
+
+
+@pytest.mark.parametrize(
+    "m, n, fields",
+    [(1, 256, {}), (8, 256, {}), (2, 256, {"levels": 1, "window_l": 128})],
+    ids=["denoise-1x256", "denoise-8x256", "gof-2x128"],
+)
+def test_threshold_table_is_not_stale(monkeypatch, m, n, fields):
+    # keys spread over the grid, calibrated afresh: a change that moves the
+    # null fails here until tools/build_thresholds.py rebuilds the table.
+    # Another machine's BLAS may round the last bits differently
+    key = denoiser._memo_key(m, n, DenoiseConfig(**fields))
+    shipped = denoiser._read_table(denoiser._TABLE_PATH)[key]
+    monkeypatch.setattr(denoiser, "_THRESHOLD_TABLE", {})  # bypass the table
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    fresh = calibrate_thresholds(m, n, key[2])
+    for got, want in zip(fresh, shipped):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def table_entry(key, thresholds, sd):
+    m, n, cfg = key
+    fields = {k: v for k, v in vars(cfg).items() if v != getattr(DenoiseConfig(), k)}
+    return {"n_channels": m, "n_samples": n, "config": fields, "thresholds": list(thresholds), "null_retention_sd": list(sd)}
+
+
+def no_calibration(*args):
+    raise AssertionError("calibration entered")
+
+
+def test_lookup_is_the_memo_then_the_table_then_calibration(tmp_path, monkeypatch):
+    key = denoiser._memo_key(1, 256, DenoiseConfig())
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")  # calibration runs here, where the patch below is seen
+    table = tmp_path / "thresholds.json"
+    table.write_text(json.dumps([table_entry(key, [1.0, 2.0, 3.0, 4.0, 5.0], [0.5] * 5)]), encoding="utf-8")
+    monkeypatch.setattr(denoiser, "_TABLE_PATH", str(table))
+    monkeypatch.setattr(denoiser, "_THRESHOLD_TABLE", None)
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {key: (np.full(5, 9.0), np.full(5, 0.25))})
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    thresholds, sd = calibrate_thresholds(1, 256, DenoiseConfig())
+    assert np.array_equal(thresholds, np.full(5, 9.0)) and np.array_equal(sd, np.full(5, 0.25))
+    assert denoiser._THRESHOLD_TABLE is None  # a memo hit reads no table
+    denoiser._NULL_CACHE.clear()
+    thresholds, sd = calibrate_thresholds(1, 256, DenoiseConfig())
+    assert np.array_equal(thresholds, [1.0, 2.0, 3.0, 4.0, 5.0]) and np.array_equal(sd, np.full(5, 0.5))
+    assert list(denoiser._NULL_CACHE) == [key]  # the hit is memoised, for this process and its pool workers
+    # every call gets its own copies: writing to one changes neither the memo nor the table
+    thresholds[:] = -1.0
+    sd[:] = -1.0
+    again = calibrate_thresholds(1, 256, DenoiseConfig())
+    assert np.array_equal(again[0], [1.0, 2.0, 3.0, 4.0, 5.0]) and np.array_equal(again[1], np.full(5, 0.5))
+    # a key the table does not hold calibrates
+    with pytest.raises(AssertionError, match="calibration entered"):
+        calibrate_thresholds(2, 256, DenoiseConfig())
+
+
+def broken_tables(key, fresh):
+    # each file breaks the table; the key's own entry, where there is one,
+    # holds values no calibration gives, so serving it would show
+    wrong = table_entry(key, fresh[0] + 1.0, fresh[1])
+    other = denoiser._memo_key(1, 512, DenoiseConfig())
+    return {
+        "missing": None,
+        "invalid-json": '[{"n_channels": 1, ',
+        "wrong-length": [wrong, table_entry(other, [1.0] * 4, [0.5] * 5)],
+        "no-window": [wrong, {**table_entry(other, [1.0] * 5, [0.5] * 5), "config": {}}],
+        "unknown-field": [wrong, {**table_entry(other, [1.0] * 5, [0.5] * 5), "config": {"window_l": 28, "wavelet": "db8"}}],
+        "not-a-list": {"entries": [wrong]},
+    }
+
+
+@pytest.mark.parametrize("case", ["missing", "invalid-json", "wrong-length", "no-window", "unknown-field", "not-a-list"])
+def test_unreadable_table_falls_back_to_calibration(tmp_path, monkeypatch, case):
+    key = denoiser._memo_key(1, 256, DenoiseConfig())
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    monkeypatch.setattr(denoiser, "_THRESHOLD_TABLE", {})
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    fresh = calibrate_thresholds(1, 256, DenoiseConfig())
+    content = broken_tables(key, fresh)[case]
+    table = tmp_path / "thresholds.json"
+    if content is not None:
+        table.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+    monkeypatch.setattr(denoiser, "_TABLE_PATH", str(table))
+    monkeypatch.setattr(denoiser, "_THRESHOLD_TABLE", None)
+    denoiser._NULL_CACHE.clear()
+    with pytest.warns(RuntimeWarning, match="quantile resolution") as caught:
+        thresholds, sd = calibrate_thresholds(1, 256, DenoiseConfig())
+    assert len(caught) == 1  # the table's fault raises and warns nothing
+    assert denoiser._THRESHOLD_TABLE == {}  # read once, and treated as absent
+    assert np.array_equal(thresholds, fresh[0]) and np.array_equal(sd, fresh[1])
 
 
 def folded_tail(pool, q, rng):

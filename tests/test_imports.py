@@ -2,7 +2,8 @@
 private module-level name of the package is read somewhere in it, every
 parameter of a package function is read in its body, every
 Sphinx cross-reference in a package docstring names something that exists,
-the command line neither imports scipy or mpmath nor needs them, every
+the command line neither imports scipy or mpmath nor needs them, importing
+it reads no threshold table, every
 program name the benchmark's tracer reaches into and every output field its
 harness reads exist, and every Python file of the repository parses as the oldest
 supported Python (``requires-python``).
@@ -34,7 +35,7 @@ REPO = Path(__file__).resolve().parents[1]
 OLDEST_PYTHON = tuple(
     int(v) for v in re.search(r'requires-python = ">=(\d+)\.(\d+)"', (REPO / "pyproject.toml").read_text(encoding="utf-8")).groups()
 )
-SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench") for p in (REPO / d).rglob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench", "tools") for p in (REPO / d).rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set:
@@ -212,6 +213,28 @@ def test_cli_does_not_import_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# imports the CLI and prints whether the threshold table was read or opened
+_IMPORT_ONLY = """
+import sys
+
+opened = []
+sys.addaudithook(lambda event, args: opened.append(str(args[0])) if event == "open" else None)
+import mvdenoise.cli
+from mvdenoise import denoiser
+
+print(denoiser._THRESHOLD_TABLE is None, [p for p in opened if p.endswith("thresholds.json")])
+"""
+
+
+def test_importing_the_cli_reads_no_threshold_table():
+    # the table is read on the first memo miss, never at import: `--help`
+    # and every import-bound call pay nothing for it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ONLY], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True []"
 
 
 # runs the CLI in a process that refuses every import of the tests' oracles,
