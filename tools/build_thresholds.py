@@ -14,8 +14,11 @@ unset, the (8, 16384) key took 58 to 135 s on 2 cores, against about 14 s.
 On one machine every rebuild writes the same bytes.
 """
 
+import dataclasses
+import json
 import os
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -34,10 +37,6 @@ def main(argv: list) -> int:
         os.environ[var] = "1"
     sys.path.insert(0, str(REPO / "src"))
     # numpy loads here, after the BLAS variables are set
-    import dataclasses
-    import json
-    import time
-
     from mvdenoise import denoiser
     from mvdenoise.denoiser import DenoiseConfig, calibrate_thresholds
 
