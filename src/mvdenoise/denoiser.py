@@ -4,7 +4,8 @@ The chain: decompose the signal channel-wise, estimate the noise covariance
 robustly from the finest-scale coefficients, calibrate a per-scale decision
 threshold by Monte Carlo for a target false-alarm probability (simulating the
 statistic with an estimated covariance, as it is computed on data; the
-default settings' thresholds ship precomputed), slide a window
+default settings' thresholds ship precomputed, and every other key is
+calibrated once per machine and stored in the user's cache), slide a window
 over each detail block scoring the local empirical distribution of squared
 Mahalanobis distances against the reference law, zero every coefficient whose
 window looks like pure noise, and reconstruct.  A channel-wise
@@ -343,22 +344,64 @@ _NULL_CACHE: dict = {}
 # an empty table is a table that was missing or unreadable, or bypassed.
 _TABLE_PATH = os.path.join(os.path.dirname(__file__), "thresholds.json")
 _THRESHOLD_TABLE: dict | None = None
+# The per-machine store of calibrated keys, one file per key (see _store_file),
+# read after the table and written by every calibration.  _STORE_FINGERPRINT
+# is None until the first store access of a process computes it; an empty
+# fingerprint is a store that is off (its sources unreadable, or bypassed):
+# nothing is then read or written.
+_STORE_FINGERPRINT: str | None = None
+# the modules the null runs through: an edit to any of them empties the store
+_NULL_SOURCES = ("denoiser", "robustcov", "wavelet", "gofstat", "chisquare")
 
 
 def _memo_key(n_channels: int, n_samples: int, config: DenoiseConfig) -> tuple:
-    # the one key of the memo and of the table: the window filled in, the inert seed dropped
+    # the one key of the memo, the table and the store: the window filled in, the inert seed dropped
     return (n_channels, n_samples, replace(config, seed=None, window_l=config.window_size(n_channels)))
+
+
+def _table_entry(key: tuple, thresholds, sd) -> dict:
+    """One key's entry, as the table and the store hold it.
+
+    The key is named by its channel count, its length and the fields of its
+    config that differ from ``DenoiseConfig()``, each a plain Python value
+    (a numpy number is stored as the Python number it equals), followed by
+    the per-scale ``thresholds`` and ``null_retention_sd``.  ``json``
+    writes each float as its shortest repr, which reads back as the same
+    float64.  :func:`_parse_entry` reads it back.
+    """
+    n_channels, n_samples, config = key
+    default = DenoiseConfig()
+    return {
+        "n_channels": int(n_channels),
+        "n_samples": int(n_samples),
+        "config": {
+            k: v.item() if isinstance(v, np.generic) else v for k, v in vars(config).items() if v != getattr(default, k)
+        },
+        "thresholds": np.asarray(thresholds, dtype=np.float64).tolist(),
+        "null_retention_sd": np.asarray(sd, dtype=np.float64).tolist(),
+    }
+
+
+def _parse_entry(entry) -> tuple:
+    """``(key, (thresholds, retention sd))`` of one :func:`_table_entry` entry.
+
+    Raises ``ValueError``, ``TypeError`` or ``KeyError`` when ``entry`` is
+    not one: its config is not its own :func:`_memo_key`, or its arrays do
+    not hold one value per scale.
+    """
+    key = (entry["n_channels"], entry["n_samples"], DenoiseConfig(**entry["config"]))
+    arrays = tuple(np.array(entry[name], dtype=np.float64) for name in ("thresholds", "null_retention_sd"))
+    if _memo_key(*key) != key or any(a.shape != (key[2].levels,) for a in arrays):
+        raise ValueError("not the entry of a calibrated key")
+    return key, arrays
 
 
 def _read_table(path: str) -> dict:
     """The calibrated keys of the table at ``path``: key -> (thresholds, retention sd).
 
-    Each entry names its key by its channel count, its length and the
-    fields of its config that differ from ``DenoiseConfig()``, and holds
-    one threshold and one retention spread per scale.  A file that cannot
-    be read or parsed, or any entry whose config is not its own
-    :func:`_memo_key` or whose arrays do not hold one value per scale,
-    gives an empty table: every key then calibrates.
+    The table is a JSON list of :func:`_table_entry` entries.  A file that
+    cannot be read or parsed, or any entry that :func:`_parse_entry`
+    rejects, gives an empty table: every key then calibrates.
     """
     import json  # not at import: only a process that misses its memo reads the table
 
@@ -366,11 +409,8 @@ def _read_table(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             for entry in json.load(f):
-                key = (entry["n_channels"], entry["n_samples"], DenoiseConfig(**entry["config"]))
-                arrays = [np.array(entry[name], dtype=np.float64) for name in ("thresholds", "null_retention_sd")]
-                if _memo_key(*key) != key or any(a.shape != (key[2].levels,) for a in arrays):
-                    return {}
-                table[key] = tuple(arrays)
+                key, arrays = _parse_entry(entry)
+                table[key] = arrays
     except (OSError, ValueError, TypeError, KeyError):
         return {}
     return table
@@ -382,6 +422,93 @@ def _table() -> dict:
     if _THRESHOLD_TABLE is None:
         _THRESHOLD_TABLE = _read_table(_TABLE_PATH)
     return _THRESHOLD_TABLE
+
+
+def _fingerprint() -> str:
+    # the code a stored entry must have been calibrated by: the package and
+    # numpy versions and a sha256 of the null's sources, computed once a process
+    global _STORE_FINGERPRINT
+    if _STORE_FINGERPRINT is None:
+        import hashlib
+
+        from . import __version__
+
+        digest = hashlib.sha256()
+        try:
+            for name in _NULL_SOURCES:
+                with open(os.path.join(os.path.dirname(__file__), name + ".py"), "rb") as f:
+                    digest.update(hashlib.sha256(f.read()).digest())
+        except OSError:
+            _STORE_FINGERPRINT = ""
+        else:
+            _STORE_FINGERPRINT = f"mvdenoise {__version__}, numpy {np.__version__}, sources {digest.hexdigest()}"
+    return _STORE_FINGERPRINT
+
+
+def _store_file(key: tuple) -> str | None:
+    # the key's file, named by a hash of the key's fields in its entry, in
+    # $XDG_CACHE_HOME/mvdenoise/, or ~/.cache/mvdenoise/ when that variable
+    # is unset or not absolute; read at each access.  None without a home
+    import hashlib
+    import json
+
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(root):
+            return None
+    entry = _table_entry(key, (), ())
+    name = json.dumps([entry["n_channels"], entry["n_samples"], entry["config"]])
+    return os.path.join(root, "mvdenoise", hashlib.sha256(name.encode()).hexdigest()[:32] + ".json")
+
+
+def _store_get(key: tuple):
+    """The store's (thresholds, retention sd) for ``key``, or None.
+
+    None when the store is off, or when the key's file cannot be read or
+    parsed, was written under another fingerprint, holds another key, or
+    holds arrays without one value per scale.
+    """
+    import json
+
+    path = _store_file(key) if _fingerprint() else None
+    if path is None:
+        return None
+    try:
+        with open(path, encoding="utf-8") as f:
+            stored = json.load(f)
+        if stored["fingerprint"] != _fingerprint():
+            return None
+        found, arrays = _parse_entry(stored["entry"])
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    return arrays if found == key else None
+
+
+def _store_put(key: tuple, thresholds, sd) -> None:
+    # write the key's file: a temporary file in the store directory, then
+    # os.replace, so a reader sees a whole file or none.  A failure leaves
+    # no temporary file, and raises and warns nothing
+    import json
+    import tempfile
+
+    path = _store_file(key) if _fingerprint() else None
+    if path is None:
+        return
+    text = json.dumps({"fingerprint": _fingerprint(), "entry": _table_entry(key, thresholds, sd)})
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".", suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass  # a temporary file is never read as an entry
 
 
 def _adopt_memo(memo: dict) -> None:
@@ -428,28 +555,44 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
     result is memoised per key, and every :func:`_pool_map` worker starts
     with the memo.  A key is looked up in the memo, then in the table
     shipped with the package (``thresholds.json``, written by
-    ``tools/build_thresholds.py``), and only then calibrated.  The table
+    ``tools/build_thresholds.py``), then in the per-machine store, and only
+    then calibrated; a hit is memoised like a calibration.  The table
     holds the default settings at 1 to 8 channels and lengths 2^8 to 2^14,
-    and ``gof``'s key for 2^7 to 2^13 rows; a hit is memoised like a
-    calibration.  The first memo miss of a process reads the table, and a
-    missing or unreadable table (see :func:`_read_table`) is an empty one.
-    On the machine that built it, an entry equals a fresh calibration bit
-    for bit; elsewhere BLAS may round the last bits differently.  The
-    warning on a low ``calibration_reps`` is issued before any lookup, so a
-    hit warns as a calibration does.  Each replication is padded by
-    ``dwt_forward`` exactly as an input of ``n_samples`` rows is, so a
-    non-dyadic length is simulated with the mirrored rows its pad
-    duplicates, and a geometry ``denoise`` rejects raises the same
-    ``ValueError`` before any covariance fit.  A channel count that is not
+    and ``gof``'s key for 2^7 to 2^13 rows.  The first memo miss of a
+    process reads the table, and a missing or unreadable table (see
+    :func:`_read_table`) is an empty one.  On the machine that built it,
+    an entry equals a fresh calibration bit for bit; elsewhere BLAS may
+    round the last bits differently.
+
+    The store holds every other key once this machine has calibrated it:
+    one file per key in ``$XDG_CACHE_HOME/mvdenoise/`` (``~/.cache/mvdenoise/``
+    when that variable is unset or not absolute), holding the key's
+    :func:`_table_entry` and the fingerprint of the code that calibrated it:
+    the package and numpy versions and a sha256 of the modules the null runs
+    through.  An entry read back equals the calibration that wrote it bit
+    for bit.  A file that cannot be read or parsed, or that was written
+    under another fingerprint, holds another key or holds arrays without
+    one value per scale, is a miss: the key calibrates and the file is
+    overwritten.  Each write goes to a temporary file, then ``os.replace``,
+    so processes that calibrate one key at once leave one whole file; a
+    write that fails raises and warns nothing.  Import, a memo hit and a
+    table hit never touch the store.  The warning on a low
+    ``calibration_reps`` is issued before any lookup, so every hit warns as
+    a calibration does.
+
+    Each replication is padded by ``dwt_forward`` exactly as an input of
+    ``n_samples`` rows is, so a non-dyadic length is simulated with the
+    mirrored rows its pad duplicates, and a geometry ``denoise`` rejects
+    raises the same ``ValueError`` before any covariance fit.  A channel count that is not
     an integer of at least 1, or a length that is not an integer (a float
     or a ``bool`` included), raises ``ValueError`` before anything else,
     memo lookup included.
 
-    The child seeds of a key that is not memoised are cut into batches of
-    :func:`_batch_reps`, and :func:`_pool_map` runs :func:`_null_tau_pool`
-    on each; a memo hit opens no pool.  Only the top p_fa share of a
-    scale's pool can decide its quantile, so each batch is folded into a
-    per-scale :class:`_UpperTail` as it arrives and then dropped: the values
+    The child seeds of a key that misses the memo, the table and the store
+    are cut into batches of :func:`_batch_reps`, and :func:`_pool_map` runs
+    :func:`_null_tau_pool` on each; a hit opens no pool.  Only the top p_fa
+    share of a scale's pool can decide its quantile, so each batch is folded
+    into a per-scale :class:`_UpperTail` as it arrives and then dropped: the values
     at or above the running k-th largest, k = n p_fa + 1 for a pool of n
     values, with their replications.  The thresholds and the retention
     spread equal the full-pool ``np.quantile`` and count bit for bit, while
@@ -478,29 +621,38 @@ def calibrate_thresholds(n_channels: int, n_samples: int, config: DenoiseConfig)
             "threshold quantile resolution is coarse",
             RuntimeWarning,
         )
-    window = config.window_size(n_channels)
     key = _memo_key(n_channels, n_samples, config)
-    if key not in _NULL_CACHE and key in _table():
-        _NULL_CACHE[key] = _table()[key]
     if key not in _NULL_CACHE:
-        # a geometry denoise rejects raises its ValueError here, before any pool opens
-        _decompose(np.zeros((n_samples, 1)), config)
-        child_seeds = np.random.default_rng(_CALIBRATION_SEED).integers(np.iinfo(np.int64).max, size=reps)
-        blocks = expected_block_lengths(n_samples, config.levels)
-        tails = [_UpperTail(reps, b if b > window else 1, 1.0 - config.p_fa) for b in blocks]
-        batch = _batch_reps(n_channels, n_samples, config)
-        batches = np.split(child_seeds, range(batch, reps, batch))
-        start = 0
-        for taus in _pool_map(partial(_null_tau_pool, n_channels, n_samples, config), batches):
-            for tail, tau in zip(tails, taus):
-                tail.add(tau, start)
-            start += len(tau)
-            del taus, tau  # free this batch's statistics before the next batch runs
-        thresholds = np.array([tail.quantile() for tail in tails])
-        sd = np.array([tail.retention_sd(t) for tail, t in zip(tails, thresholds)])
-        _NULL_CACHE[key] = (thresholds, sd)
+        found = _table().get(key)
+        if found is None:
+            found = _store_get(key)
+        if found is None:
+            found = _calibrate(n_channels, n_samples, config)
+            _store_put(key, *found)
+        _NULL_CACHE[key] = found
     thresholds, sd = _NULL_CACHE[key]
     return thresholds.copy(), sd.copy()
+
+
+def _calibrate(n_channels: int, n_samples: int, config: DenoiseConfig) -> tuple:
+    # one key's Monte Carlo calibration (see calibrate_thresholds); a
+    # geometry denoise rejects raises its ValueError first, before any pool opens
+    _decompose(np.zeros((n_samples, 1)), config)
+    reps = config.calibration_reps
+    window = config.window_size(n_channels)
+    child_seeds = np.random.default_rng(_CALIBRATION_SEED).integers(np.iinfo(np.int64).max, size=reps)
+    blocks = expected_block_lengths(n_samples, config.levels)
+    tails = [_UpperTail(reps, b if b > window else 1, 1.0 - config.p_fa) for b in blocks]
+    batch = _batch_reps(n_channels, n_samples, config)
+    batches = np.split(child_seeds, range(batch, reps, batch))
+    start = 0
+    for taus in _pool_map(partial(_null_tau_pool, n_channels, n_samples, config), batches):
+        for tail, tau in zip(tails, taus):
+            tail.add(tau, start)
+        start += len(tau)
+        del taus, tau  # free this batch's statistics before the next batch runs
+    thresholds = np.array([tail.quantile() for tail in tails])
+    return thresholds, np.array([tail.retention_sd(t) for tail, t in zip(tails, thresholds)])
 
 
 def _decompose(x: np.ndarray, config: DenoiseConfig):

@@ -5,6 +5,26 @@ import pytest
 from mvdenoise import denoiser
 
 
+@pytest.fixture(autouse=True)
+def threshold_store(tmp_path_factory, monkeypatch):
+    """Point every test's threshold store at a fresh, empty directory.
+
+    No test reads or writes a real cache, and subprocesses inherit
+    ``XDG_CACHE_HOME``.  Returns a function that points the store at
+    another fresh directory and returns that store's path (it does not
+    exist until a calibration writes to it): a test that compares two
+    calibrations of one key gives each its own empty store.
+    """
+
+    def fresh_store():
+        cache = tmp_path_factory.mktemp("cache")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        return cache / "mvdenoise"
+
+    fresh_store()
+    return fresh_store
+
+
 @pytest.fixture
 def two_worker_rule(monkeypatch):
     """The default rule on two cores, whatever the BLAS variables say; returns the worker counts of the pools opened."""

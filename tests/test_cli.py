@@ -455,10 +455,11 @@ def test_benchmark_deterministic_bytes(tmp_path):
     assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
 
 
-def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch):
+def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch, threshold_store):
     serial, parallel = tmp_path / "s", tmp_path / "p"
     monkeypatch.setenv("MVDENOISE_THREADS", "1")
     assert run_cli(bench_args(serial)) == 0
+    threshold_store()  # the parallel run calibrates too
     env = dict(os.environ, MVDENOISE_THREADS="2", PYTHONPATH=os.pathsep.join(sys.path))
     cmd = [sys.executable, "-m", "mvdenoise.cli", *bench_args(parallel)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
@@ -480,7 +481,7 @@ def test_benchmark_records_calibration_warnings(tmp_path):
     assert f"warning: {message}" in proc.stdout.splitlines()
 
 
-def test_benchmark_opens_its_pools_through_the_denoiser(tmp_path, monkeypatch, two_worker_rule):
+def test_benchmark_opens_its_pools_through_the_denoiser(tmp_path, monkeypatch, two_worker_rule, threshold_store):
     # one pool calibrates the key and one runs the cells; every results.csv
     # byte is the one-worker run's
     denoiser._NULL_CACHE.clear()  # calibrate afresh, as a new process would
@@ -488,6 +489,7 @@ def test_benchmark_opens_its_pools_through_the_denoiser(tmp_path, monkeypatch, t
     assert two_worker_rule == [2, 2]
     monkeypatch.setenv("MVDENOISE_THREADS", "1")
     denoiser._NULL_CACHE.clear()
+    threshold_store()
     assert run_cli(bench_args(tmp_path / "s")) == 0
     assert two_worker_rule == [2, 2]  # a count of 1 opens no pool
     assert (tmp_path / "p" / "results.csv").read_bytes() == (tmp_path / "s" / "results.csv").read_bytes()
@@ -634,7 +636,7 @@ def test_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, command,
     assert not out.exists()
 
 
-def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys, two_worker_rule):
+def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys, two_worker_rule, threshold_store):
     # at two workers calibration maps its batches over a process pool; every
     # output byte is the one-worker run's
     assert run_cli(["generate", "heavydoppler3", "--n", "2048", "--rho", "0.75", "--seed", "3", "--out", str(tmp_path)]) == 0
@@ -642,7 +644,8 @@ def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeyp
     outputs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("MVDENOISE_THREADS", threads)
-        denoiser._NULL_CACHE.clear()  # calibrate afresh, as a new process would
+        denoiser._NULL_CACHE.clear()  # calibrate afresh, as a new process on an empty store would
+        threshold_store()
         out = tmp_path / f"den{threads}"
         assert run_cli(["denoise", str(tmp_path / "noisy.csv"), "--out", str(out), *FAST]) == 0
         capsys.readouterr()
@@ -651,6 +654,24 @@ def test_denoise_and_gof_outputs_do_not_depend_on_worker_count(tmp_path, monkeyp
         outputs[threads].append(capsys.readouterr().out)
     assert two_worker_rule == [2, 2]  # at --calib-reps 150: 3 batches for denoise, 7 for gof
     assert outputs["2"] == outputs["1"]
+
+
+def test_denoise_on_a_store_hit_writes_the_calibrated_bytes(tmp_path, monkeypatch, threshold_store):
+    # 2000 x 3 is off the table's grid: the first run calibrates and stores
+    # the key, the second, as a new process on this machine would, reads it
+    store = threshold_store()
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    np.savetxt(tmp_path / "x.csv", np.random.default_rng(24).standard_normal((2000, 3)), delimiter=",")
+    outputs = []
+    for run in ("calibrated", "stored"):
+        assert run_cli(["denoise", str(tmp_path / "x.csv"), "--out", str(tmp_path / run), *FAST]) == 0
+        outputs.append([(tmp_path / run / name).read_bytes() for name in ("denoised.csv", "report.json")])
+        assert len(list(store.iterdir())) == 1
+        denoiser._NULL_CACHE.clear()
+        forbid_calibration(monkeypatch)
+    assert outputs[1] == outputs[0]
+    assert json.loads(outputs[0][1])["warnings"]  # calibration's warning, issued on the hit too
 
 
 def test_default_denoise_and_gof_read_the_shipped_thresholds(tmp_path, monkeypatch, capsys):

@@ -217,16 +217,17 @@ def test_threshold_reproducible_across_seeds():
     assert abs(t1 - t2) / t1 < 0.10
 
 
-def test_calibrate_thresholds_deterministic():
+def test_calibrate_thresholds_deterministic(threshold_store):
     cfg = DenoiseConfig(calibration_reps=150)
     a = calibrate_thresholds(2, 1024, cfg)[0]
     _NULL_CACHE.clear()
+    threshold_store()  # calibrate again, not read the first calibration back
     b = calibrate_thresholds(2, 1024, cfg)[0]
     assert np.array_equal(a, b)
     assert a.shape == (5,)
 
 
-def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
+def test_calibration_split_into_batches_is_bit_identical(monkeypatch, threshold_store):
     # a process pool hands each batch of child seeds to whichever worker is
     # free; the seeds cut at batch boundaries into 1, 2 or 3 contiguous
     # slices give the same pool, and so the same thresholds
@@ -256,6 +257,7 @@ def test_calibration_split_into_batches_is_bit_identical(monkeypatch):
     assert np.array_equal(thresholds, [np.quantile(p, 1.0 - cfg.p_fa) for p in whole])
     assert np.array_equal(sd, [(p >= t).mean(axis=1).std(ddof=1) for p, t in zip(whole, thresholds)])
     _NULL_CACHE.clear()
+    threshold_store()
     monkeypatch.setenv("MVDENOISE_THREADS", "1")  # one pass, in this process
     single_pass = calibrate_thresholds(m, n, cfg)
     assert np.array_equal(single_pass[0], thresholds) and np.array_equal(single_pass[1], sd)
@@ -304,13 +306,15 @@ print(worker_count(2), hashlib.sha256(thresholds.tobytes() + sd.tobytes()).hexdi
 """
 
 
-def test_calibration_bits_do_not_depend_on_blas_variables():
-    # fresh processes, each with the worker rule's default count: the BLAS
-    # may run a thread per core in one and one thread in the other
+def test_calibration_bits_do_not_depend_on_blas_variables(threshold_store):
+    # fresh processes, each with the worker rule's default count and its own
+    # empty store: the BLAS may run a thread per core in one and one thread
+    # in the other
     base = {k: v for k, v in os.environ.items() if k not in (*BLAS_THREAD_VARS, "MVDENOISE_THREADS")}
     base["PYTHONPATH"] = os.pathsep.join(sys.path)
     runs = []
     for extra in ({}, ONE_BLAS_THREAD):
+        extra = {**extra, "XDG_CACHE_HOME": str(threshold_store().parent)}
         proc = subprocess.run([sys.executable, "-c", _CALIBRATION_DIGEST], env={**base, **extra}, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout.split())
@@ -326,7 +330,7 @@ def test_calibration_bits_do_not_depend_on_blas_variables():
         (4, 1024, DenoiseConfig(calibration_reps=100, levels=1, window_l=512), 5),
     ],
 )
-def test_pool_calibration_is_bit_identical_to_serial(monkeypatch, two_worker_rule, m, n, cfg, n_batches):
+def test_pool_calibration_is_bit_identical_to_serial(monkeypatch, two_worker_rule, threshold_store, m, n, cfg, n_batches):
     # the batches and their in-order fold are the serial run's, so every bit is
     assert -(-cfg.calibration_reps // _batch_reps(m, n, cfg)) == n_batches
     assert worker_count(n_batches) == 2
@@ -335,6 +339,7 @@ def test_pool_calibration_is_bit_identical_to_serial(monkeypatch, two_worker_rul
     assert two_worker_rule == [2]
     monkeypatch.setenv("MVDENOISE_THREADS", "1")
     _NULL_CACHE.clear()
+    threshold_store()
     serial = calibrate_thresholds(m, n, cfg)
     assert two_worker_rule == [2]  # a count of 1 opens no pool
     assert np.array_equal(pooled[0], serial[0]) and np.array_equal(pooled[1], serial[1])
@@ -354,7 +359,7 @@ def test_memo_hit_opens_no_pool(monkeypatch, two_worker_rule):
     assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
 
 
-def test_calibration_in_a_pool_worker_runs_serially(monkeypatch, two_worker_rule):
+def test_calibration_in_a_pool_worker_runs_serially(monkeypatch, two_worker_rule, threshold_store):
     # the worker inherits a rule that gives this process two workers, and a
     # pool that refuses to open: it must calibrate in-process
     cfg = DenoiseConfig(calibration_reps=300)
@@ -367,6 +372,7 @@ def test_calibration_in_a_pool_worker_runs_serially(monkeypatch, two_worker_rule
         in_worker = pool.submit(calibrate_thresholds, 3, 1024, cfg).result(timeout=120)
     monkeypatch.setenv("MVDENOISE_THREADS", "1")
     _NULL_CACHE.clear()
+    threshold_store()  # the worker's calibration filled the first store
     serial = calibrate_thresholds(3, 1024, cfg)
     assert np.array_equal(in_worker[0], serial[0]) and np.array_equal(in_worker[1], serial[1])
 
@@ -456,13 +462,19 @@ def no_calibration(*args):
     raise AssertionError("calibration entered")
 
 
-def test_lookup_is_the_memo_then_the_table_then_calibration(tmp_path, monkeypatch):
+def test_lookup_is_the_memo_then_the_table_then_the_store_then_calibration(tmp_path, monkeypatch, threshold_store):
     key = denoiser._memo_key(1, 256, DenoiseConfig())
+    stored_key = denoiser._memo_key(2, 256, DenoiseConfig())
     monkeypatch.setenv("MVDENOISE_THREADS", "1")  # calibration runs here, where the patch below is seen
     table = tmp_path / "thresholds.json"
     table.write_text(json.dumps([table_entry(key, [1.0, 2.0, 3.0, 4.0, 5.0], [0.5] * 5)]), encoding="utf-8")
     monkeypatch.setattr(denoiser, "_TABLE_PATH", str(table))
     monkeypatch.setattr(denoiser, "_THRESHOLD_TABLE", None)
+    # the store holds the table's key with other values, and a key the table does not hold
+    store = threshold_store()
+    denoiser._store_put(key, np.full(5, 7.0), np.full(5, 0.75))
+    denoiser._store_put(stored_key, np.full(5, 6.0), np.full(5, 0.125))
+    assert len(list(store.iterdir())) == 2
     monkeypatch.setattr(denoiser, "_NULL_CACHE", {key: (np.full(5, 9.0), np.full(5, 0.25))})
     monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
     thresholds, sd = calibrate_thresholds(1, 256, DenoiseConfig())
@@ -477,9 +489,13 @@ def test_lookup_is_the_memo_then_the_table_then_calibration(tmp_path, monkeypatc
     sd[:] = -1.0
     again = calibrate_thresholds(1, 256, DenoiseConfig())
     assert np.array_equal(again[0], [1.0, 2.0, 3.0, 4.0, 5.0]) and np.array_equal(again[1], np.full(5, 0.5))
-    # a key the table does not hold calibrates
+    # a key the table does not hold is read from the store, and memoised
+    thresholds, sd = calibrate_thresholds(2, 256, DenoiseConfig())
+    assert np.array_equal(thresholds, np.full(5, 6.0)) and np.array_equal(sd, np.full(5, 0.125))
+    assert list(denoiser._NULL_CACHE) == [key, stored_key]
+    # a key neither holds calibrates
     with pytest.raises(AssertionError, match="calibration entered"):
-        calibrate_thresholds(2, 256, DenoiseConfig())
+        calibrate_thresholds(3, 256, DenoiseConfig())
 
 
 def broken_tables(key, fresh):
@@ -498,7 +514,7 @@ def broken_tables(key, fresh):
 
 
 @pytest.mark.parametrize("case", ["missing", "invalid-json", "wrong-length", "no-window", "unknown-field", "not-a-list"])
-def test_unreadable_table_falls_back_to_calibration(tmp_path, monkeypatch, case):
+def test_unreadable_table_falls_back_to_calibration(tmp_path, monkeypatch, threshold_store, case):
     key = denoiser._memo_key(1, 256, DenoiseConfig())
     monkeypatch.setenv("MVDENOISE_THREADS", "1")
     monkeypatch.setattr(denoiser, "_THRESHOLD_TABLE", {})
@@ -511,11 +527,226 @@ def test_unreadable_table_falls_back_to_calibration(tmp_path, monkeypatch, case)
     monkeypatch.setattr(denoiser, "_TABLE_PATH", str(table))
     monkeypatch.setattr(denoiser, "_THRESHOLD_TABLE", None)
     denoiser._NULL_CACHE.clear()
+    threshold_store()  # calibrate again, not read the first calibration back
     with pytest.warns(RuntimeWarning, match="quantile resolution") as caught:
         thresholds, sd = calibrate_thresholds(1, 256, DenoiseConfig())
     assert len(caught) == 1  # the table's fault raises and warns nothing
     assert denoiser._THRESHOLD_TABLE == {}  # read once, and treated as absent
     assert np.array_equal(thresholds, fresh[0]) and np.array_equal(sd, fresh[1])
+
+
+# ------------------------------------------------------ per-machine store
+
+# an off-grid key that calibrates in well under a second on one worker
+STORE_CONFIG = DenoiseConfig(calibration_reps=150, levels=3)
+RESOLUTION_WARNING = "calibration_reps=150 is below 10/p_fa=2000; threshold quantile resolution is coarse"
+
+
+def calibrate_recording_warnings(m, n, cfg):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = calibrate_thresholds(m, n, cfg)
+    return result, [str(w.message) for w in caught]
+
+
+def test_store_read_is_the_calibration_that_wrote_it(monkeypatch, threshold_store):
+    store = threshold_store()
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    key = denoiser._memo_key(2, 500, STORE_CONFIG)
+    assert key not in denoiser._table()
+    fresh, warned = calibrate_recording_warnings(2, 500, STORE_CONFIG)
+    (path,) = store.iterdir()  # one file per key, and no temporary file left
+    assert path == Path(denoiser._store_file(key))
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    assert stored["fingerprint"] == denoiser._fingerprint()
+    assert stored["entry"] == denoiser._table_entry(key, *fresh)
+    denoiser._NULL_CACHE.clear()
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    hit, hit_warned = calibrate_recording_warnings(2, 500, STORE_CONFIG)
+    assert np.array_equal(hit[0], fresh[0]) and np.array_equal(hit[1], fresh[1])
+    assert hit_warned == warned == [RESOLUTION_WARNING]  # a hit warns as the calibration did
+    assert list(denoiser._NULL_CACHE) == [key]
+
+
+def test_store_names_a_numpy_integer_key_as_its_python_key():
+    key = denoiser._memo_key(2, 500, STORE_CONFIG)
+    same = denoiser._memo_key(np.int64(2), np.int64(500), replace(STORE_CONFIG, levels=np.int64(3)))
+    assert same == key and denoiser._store_file(same) == denoiser._store_file(key)
+    assert json.dumps(denoiser._table_entry(same, [1.0] * 3, [0.5] * 3)) == json.dumps(denoiser._table_entry(key, [1.0] * 3, [0.5] * 3))
+
+
+def break_store(case, store, path, key, fresh):
+    # each case leaves the store unable to serve key; the entries it writes
+    # hold values no calibration gives, so serving one would show
+    wrong = denoiser._table_entry(key, fresh[0] + 1.0, fresh[1])
+    other = denoiser._memo_key(2, 512, STORE_CONFIG)
+    fingerprint = denoiser._fingerprint()
+    contents = {
+        "corrupt": '{"fingerprint": "',
+        "not-an-object": json.dumps([fingerprint, wrong]),
+        "another-key": json.dumps({"fingerprint": fingerprint, "entry": denoiser._table_entry(other, fresh[0] + 1.0, fresh[1])}),
+        "wrong-length": json.dumps({"fingerprint": fingerprint, "entry": {**wrong, "thresholds": wrong["thresholds"][:2]}}),
+        "another-fingerprint": json.dumps({"fingerprint": fingerprint + " edited", "entry": wrong}),
+    }
+    if case in contents:
+        store.mkdir(parents=True)
+        path.write_text(contents[case], encoding="utf-8")
+    elif case == "unwritable":
+        # the key's file is a directory: it cannot be read, nor replaced
+        (path / "held").mkdir(parents=True)
+    elif case == "read-only":
+        # read and written as a miss, where permissions bind (not as root)
+        store.mkdir(parents=True)
+        store.chmod(0o500)
+    elif case == "uncreatable":
+        # a file where the store's directory would go
+        store.parent.mkdir(parents=True, exist_ok=True)
+        store.write_text("not a directory", encoding="utf-8")
+
+
+BROKEN_STORES = ["corrupt", "not-an-object", "another-key", "wrong-length", "another-fingerprint", "unwritable", "read-only", "uncreatable"]
+
+
+@pytest.mark.parametrize("case", BROKEN_STORES)
+def test_broken_store_falls_back_to_calibration(monkeypatch, threshold_store, case):
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    key = denoiser._memo_key(2, 500, STORE_CONFIG)
+    threshold_store()
+    fresh = calibrate_thresholds(2, 500, STORE_CONFIG)
+    denoiser._NULL_CACHE.clear()
+    store = threshold_store()
+    path = Path(denoiser._store_file(key))
+    break_store(case, store, path, key, fresh)
+    try:
+        got, warned = calibrate_recording_warnings(2, 500, STORE_CONFIG)
+    finally:
+        if store.is_dir():
+            store.chmod(0o700)
+    assert np.array_equal(got[0], fresh[0]) and np.array_equal(got[1], fresh[1])
+    assert warned == [RESOLUTION_WARNING]  # the store's fault raises and warns nothing
+    if store.is_dir():
+        assert not [p for p in store.iterdir() if p.name.endswith(".tmp")]
+    if case in ("unwritable", "uncreatable"):
+        return
+    # a readable store's file was overwritten with the calibration
+    denoiser._NULL_CACHE.clear()
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    again = calibrate_thresholds(2, 500, STORE_CONFIG)
+    assert np.array_equal(again[0], fresh[0]) and np.array_equal(again[1], fresh[1])
+
+
+def source_copies(tmp_path, edited):
+    # the null's sources, copied, with a comment appended to the one named
+    # edited; returns a path to stand for denoiser.__file__
+    for name in denoiser._NULL_SOURCES:
+        text = Path(denoiser.__file__).with_name(name + ".py").read_text(encoding="utf-8")
+        (tmp_path / (name + ".py")).write_text(text + ("# edited\n" if name == edited else ""), encoding="utf-8")
+    return str(tmp_path / "denoiser.py")
+
+
+@pytest.mark.parametrize("changed", ["unchanged", "version", "numpy", *denoiser._NULL_SOURCES])
+def test_changing_a_fingerprint_input_misses_the_store(tmp_path, monkeypatch, changed):
+    import mvdenoise
+
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    calibrate_thresholds(2, 500, STORE_CONFIG)
+    denoiser._NULL_CACHE.clear()
+    monkeypatch.setattr(denoiser, "_STORE_FINGERPRINT", None)  # computed afresh, as a new process would
+    if changed == "version":
+        monkeypatch.setattr(mvdenoise, "__version__", mvdenoise.__version__ + ".post1")
+    elif changed == "numpy":
+        monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+    elif changed != "unchanged":
+        monkeypatch.setattr(denoiser, "__file__", source_copies(tmp_path, changed))
+    monkeypatch.setattr(denoiser, "_null_tau_pool", no_calibration)
+    if changed == "unchanged":
+        calibrate_thresholds(2, 500, STORE_CONFIG)  # a hit: the same code reads its own entry
+    else:
+        with pytest.raises(AssertionError, match="calibration entered"):
+            calibrate_thresholds(2, 500, STORE_CONFIG)
+
+
+def test_store_is_off_when_its_sources_cannot_be_read(tmp_path, monkeypatch, threshold_store):
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    monkeypatch.setattr(denoiser, "_NULL_CACHE", {})
+    monkeypatch.setattr(denoiser, "_STORE_FINGERPRINT", None)
+    monkeypatch.setattr(denoiser, "__file__", str(tmp_path / "denoiser.py"))  # no sources there
+    store = threshold_store()
+    fresh, warned = calibrate_recording_warnings(2, 500, STORE_CONFIG)
+    assert denoiser._STORE_FINGERPRINT == "" and not store.exists()  # nothing written
+    assert warned == [RESOLUTION_WARNING]
+
+
+_PUT_LOOP = """
+import sys
+import numpy as np
+from mvdenoise import denoiser
+from mvdenoise.denoiser import DenoiseConfig
+
+value = float(sys.argv[1])
+key = denoiser._memo_key(2, 500, DenoiseConfig(calibration_reps=150, levels=3))
+for _ in range(300):
+    denoiser._store_put(key, np.full(3, value), np.full(3, value / 8))
+"""
+
+
+def test_two_processes_writing_one_key_leave_a_valid_file(threshold_store):
+    store = threshold_store()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    procs = [subprocess.Popen([sys.executable, "-c", _PUT_LOOP, value], env=env, stderr=subprocess.PIPE, text=True) for value in ("1", "2")]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    key = denoiser._memo_key(2, 500, STORE_CONFIG)
+    assert [p.name for p in store.iterdir()] == [Path(denoiser._store_file(key)).name]  # no temporary file left
+    thresholds, sd = denoiser._store_get(key)
+    assert thresholds.tolist() in ([1.0] * 3, [2.0] * 3) and np.array_equal(sd, thresholds / 8)
+
+
+# imports the CLI, takes a table hit and a memo hit, then a miss, and prints
+# the store's files each touched; the store is $XDG_CACHE_HOME
+_STORE_AUDIT = """
+import os
+import sys
+
+import numpy as np
+
+root = os.environ["XDG_CACHE_HOME"]
+touched = []
+
+
+def audit(event, args):
+    if args and isinstance(args[0], str) and args[0].startswith(root):
+        touched.append(event)
+
+
+sys.addaudithook(audit)
+import mvdenoise.cli
+from mvdenoise import denoiser
+from mvdenoise.denoiser import DenoiseConfig, calibrate_thresholds
+
+imported = list(touched)
+calibrate_thresholds(3, 2048, DenoiseConfig())
+cfg = DenoiseConfig(calibration_reps=100, levels=3)
+denoiser._NULL_CACHE[denoiser._memo_key(2, 500, cfg)] = (np.zeros(3), np.zeros(3))
+calibrate_thresholds(2, 500, cfg)
+hits = list(touched)
+fingerprint = denoiser._STORE_FINGERPRINT
+calibrate_thresholds(2, 512, cfg)
+print(imported, hits, fingerprint, "open" in touched)
+"""
+
+
+def test_import_memo_hit_and_table_hit_touch_no_store(threshold_store):
+    # the store costs nothing until a key misses the memo and the table:
+    # not even its fingerprint, which reads the null's sources
+    env = dict(os.environ, MVDENOISE_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", _STORE_AUDIT], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] [] None True"  # the miss opens the store, as the hook sees
 
 
 def folded_tail(pool, q, rng):

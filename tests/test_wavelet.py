@@ -99,6 +99,42 @@ def test_synthesis_matches_scatter_loop(name, rows, m):
     assert np.allclose(got, expected, rtol=0, atol=len(f) * np.finfo(float).eps * scale)
 
 
+def sliding_analysis(x, lo, hi):
+    # the analysis by sliding_window_view, as it was written before as_strided
+    n = x.shape[0]
+    extra = lo.size - 2
+    xw = np.concatenate([x] * (1 + extra // n) + [x[: extra % n]], axis=0)
+    v = np.lib.stride_tricks.sliding_window_view(xw, lo.size, axis=0)[::2]
+    return v @ lo, v @ hi
+
+
+def sliding_synthesis(a, d, lo, hi):
+    # the synthesis by np.take(mode="wrap") and sliding_window_view, as it was
+    # written before as_strided and the concatenated wrap rows
+    h, m = a.shape
+    half = lo.size // 2
+    ad = np.take(np.concatenate([a, d], axis=1), np.arange(1 - half, h), axis=0, mode="wrap")
+    v = np.lib.stride_tricks.sliding_window_view(ad, half, axis=0)
+    out = v[:, :m] @ lo.reshape(half, 2)[::-1] + v[:, m:] @ hi.reshape(half, 2)[::-1]
+    return out.transpose(0, 2, 1).reshape(2 * h, m)
+
+
+@pytest.mark.parametrize("name", ["db8", "haar"])
+@pytest.mark.parametrize("rows", [1, 3, 6, 7, 8, 1024])
+@pytest.mark.parametrize("m", [1, 3])
+def test_strided_windows_keep_the_sliding_window_bits(name, rows, m):
+    # the same windows, so the same products: blocks shorter than the filter
+    # (which wrap more than once), at db8's half - 1 = 7 rows, and longer
+    f = get_filter(name)
+    rng = np.random.default_rng([rows, m])
+    x = rng.standard_normal((2 * rows, m))
+    for got, want in zip(_analysis_periodic(x, f.lowpass, f.highpass), sliding_analysis(x, f.lowpass, f.highpass)):
+        assert np.array_equal(got, want)
+    # a strided view and a Fortran-ordered block are copied like any other
+    for a, d in (rng.standard_normal((2, rows, m)), (x[::2], np.asfortranarray(x[1::2]))):
+        assert np.array_equal(_synthesis_periodic(a, d, f.lowpass, f.highpass), sliding_synthesis(a, d, f.lowpass, f.highpass))
+
+
 @pytest.mark.parametrize("name", ["db8", "haar"])
 def test_parseval_periodic(name):
     rng = np.random.default_rng(7)

@@ -4,17 +4,18 @@ Usage: ``python tools/build_thresholds.py [OUTPUT]`` (default: the package's
 own ``thresholds.json``).
 
 Runs ``calibrate_thresholds`` of the ``src/`` tree next to this script over
-``GRID``, with the shipped table bypassed so that every key is calibrated
-afresh, and writes one JSON entry per key: its channel count, its length,
-the fields of its memo-key config that differ from ``DenoiseConfig()``, and
-its per-scale ``thresholds`` and ``null_retention_sd``.  ``json`` writes each
-float as its shortest repr, which reads back as the same float64.  The
+``GRID``, with the shipped table and the per-machine store bypassed so that
+every key is calibrated afresh and nothing is written to the store, and
+writes one JSON entry per key in the format of ``denoiser._table_entry``:
+its channel count, its length, the fields of its memo-key config that
+differ from ``DenoiseConfig()``, and its per-scale ``thresholds`` and
+``null_retention_sd``.  ``json`` writes each float as its shortest repr,
+which reads back as the same float64.  The
 three BLAS thread variables are set to 1 before numpy loads: with them
 unset, the (8, 16384) key took 58 to 135 s on 2 cores, against about 14 s.
 On one machine every rebuild writes the same bytes.
 """
 
-import dataclasses
 import json
 import os
 import sys
@@ -41,20 +42,14 @@ def main(argv: list) -> int:
     from mvdenoise.denoiser import DenoiseConfig, calibrate_thresholds
 
     out = Path(argv[0]) if argv else REPO / "src" / "mvdenoise" / "thresholds.json"
-    denoiser._THRESHOLD_TABLE = {}  # calibrate every key, whatever the current table holds
-    default = dataclasses.asdict(DenoiseConfig())
+    # calibrate every key, whatever the current table and this machine's store hold
+    denoiser._THRESHOLD_TABLE = {}
+    denoiser._STORE_FINGERPRINT = ""
     entries = []
     for m, n, fields in GRID:
         t0 = time.perf_counter()
-        _, _, config = denoiser._memo_key(m, n, DenoiseConfig(**fields))
-        thresholds, sd = calibrate_thresholds(m, n, config)
-        entries.append({
-            "n_channels": m,
-            "n_samples": n,
-            "config": {k: v for k, v in dataclasses.asdict(config).items() if v != default[k]},
-            "thresholds": thresholds.tolist(),
-            "null_retention_sd": sd.tolist(),
-        })
+        key = denoiser._memo_key(m, n, DenoiseConfig(**fields))
+        entries.append(denoiser._table_entry(key, *calibrate_thresholds(*key)))
         print(f"({m}, {n}, {fields}): {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     text = "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n"
     out.write_text(text, encoding="utf-8")
