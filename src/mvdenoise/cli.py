@@ -50,6 +50,8 @@ EXIT_GEOMETRY = 3
 EXIT_USAGE = 64
 
 MANIFEST_NAME = "manifest.json"
+# cells write_csv formats at once
+_WRITE_CHUNK_CELLS = 1 << 16
 METHODS = ("mgwd", "baseline")
 
 
@@ -73,35 +75,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_csv(path) -> np.ndarray:
-    """Parse a CSV of one row per time index; auto-detects a single header row."""
-    rows = []
-    header = None  # (line number, cell count) of a first line that is not numeric
+    """Parse a CSV of one row per time index; auto-detects a single header row.
+
+    All cells convert in one numpy call, which parses each as ``float()``
+    does; only a file that fails it is walked line by line, to name its
+    first fault.
+    """
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise
         # make the first data row non-numeric and so be taken for a header
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        cells = [c.strip() for c in stripped.split(",")]
+    # (line number, cells) of each line that is not blank or a comment; a
+    # cell keeps its spaces, which float() ignores as strip() would
+    lines = [(i, s.split(",")) for i, s in enumerate(map(str.strip, text.splitlines()), start=1) if s and s[0] != "#"]
+    # a first line that is not numeric is the header
+    header = lines[0] if lines and not all(map(_is_float, lines[0][1])) else None
+    rows = [cells for _, cells in lines[1 if header else 0 :]]
+    if rows and (header is None or len(header[1]) == len(rows[0])):
         try:
-            rows.append([float(c) for c in cells])
+            return np.array(rows, dtype=np.float64)
         except ValueError:
-            if not rows and header is None:
-                header = (lineno, len(cells))
-                continue
-            bad = next(i for i, c in enumerate(cells) if not _is_float(c))
-            raise ParseFailure(f"{path}: non-numeric cell at row {lineno}, column {bad + 1}") from None
-        if len(rows) == 1 and header and header[1] != len(cells):
-            raise ParseFailure(f"{path}: row {header[0]} is not numeric, and as a header it would have {len(cells)} cells, not {header[1]}")
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-            raise ParseFailure(f"{path}: row {lineno} has {len(rows[-1])} columns, expected {len(rows[0])}")
-    if not rows:
-        raise ParseFailure(f"{path}: no numeric rows found")
-    return np.asarray(rows, dtype=np.float64)
+            pass  # a non-numeric cell or a ragged row: named below
+    raise ParseFailure(_first_fault(path, lines, header))
+
+
+def _first_fault(path, lines, header) -> str:
+    # the first fault of read_csv's lines, in line order: a non-numeric cell,
+    # a header whose width is not the first row's, or a ragged row
+    width = None
+    for lineno, cells in lines[1 if header else 0 :]:
+        bad = next((i for i, c in enumerate(cells) if not _is_float(c)), None)
+        if bad is not None:
+            return f"{path}: non-numeric cell at row {lineno}, column {bad + 1}"
+        if width is None:
+            width = len(cells)
+            if header and len(header[1]) != width:
+                return f"{path}: row {header[0]} is not numeric, and as a header it would have {width} cells, not {len(header[1])}"
+        elif len(cells) != width:
+            return f"{path}: row {lineno} has {len(cells)} columns, expected {width}"
+    return f"{path}: no numeric rows found"
 
 
 def _is_float(cell: str) -> bool:
@@ -125,10 +139,16 @@ def _new_file(path):
 
 def write_csv(path, data) -> None:
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    n, m = data.shape
+    # one format per chunk of rows, "%.17g" being format(v, ".17g") for a
+    # float; chunks keep a long signal's text and floats to a few MB at a time
+    row = ",".join(["%.17g"] * m) + "\n"
+    step = max(1, _WRITE_CHUNK_CELLS // max(m, 1))
     with _new_file(path) as f:
         f.write(f"# manifest: {MANIFEST_NAME}\n")
-        for row in data:
-            f.write(",".join(format(v, ".17g") for v in row) + "\n")
+        for lo in range(0, n, step):
+            block = data[lo : lo + step]
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _digest(arr: np.ndarray) -> str:

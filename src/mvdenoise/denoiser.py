@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from numbers import Integral, Real
@@ -330,8 +329,15 @@ def _usable_cores() -> int:
 
 
 def worker_count(jobs: int) -> int:
-    """:func:`worker_rule` for this process: its environment, its usable cores, and whether multiprocessing started it."""
-    return worker_rule(os.environ, _usable_cores(), jobs, multiprocessing.parent_process() is not None)
+    """:func:`worker_rule` for this process: its environment, its usable cores, and whether multiprocessing started it.
+
+    A process that multiprocessing started, under any start method, has
+    imported it before it runs a task, so one that has not imported it is
+    no worker: the question is answered without importing multiprocessing,
+    which a process that opens no pool never loads.
+    """
+    mp = sys.modules.get("multiprocessing")
+    return worker_rule(os.environ, _usable_cores(), jobs, mp is not None and mp.parent_process() is not None)
 
 
 # Calibration draws from its own stream, so the memo below is a pure function
@@ -382,6 +388,18 @@ def _table_entry(key: tuple, thresholds, sd) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _entry_config(**fields) -> DenoiseConfig:
+    # an entry's config, which must be a memo key's (see _memo_key): its
+    # window set and no seed.  Built and checked once per distinct fields, as
+    # the table's 112 entries share 15 configs; typed, so that a field of 5.0
+    # or true is not taken for a cached 5 or 1
+    config = DenoiseConfig(**fields)
+    if config.window_l is None or config.seed is not None:
+        raise ValueError("not the entry of a calibrated key")
+    return config
+
+
 def _parse_entry(entry) -> tuple:
     """``(key, (thresholds, retention sd))`` of one :func:`_table_entry` entry.
 
@@ -389,9 +407,9 @@ def _parse_entry(entry) -> tuple:
     not one: its config is not its own :func:`_memo_key`, or its arrays do
     not hold one value per scale.
     """
-    key = (entry["n_channels"], entry["n_samples"], DenoiseConfig(**entry["config"]))
+    key = (entry["n_channels"], entry["n_samples"], _entry_config(**entry["config"]))
     arrays = tuple(np.array(entry[name], dtype=np.float64) for name in ("thresholds", "null_retention_sd"))
-    if _memo_key(*key) != key or any(a.shape != (key[2].levels,) for a in arrays):
+    if any(a.shape != (key[2].levels,) for a in arrays):
         raise ValueError("not the entry of a calibrated key")
     return key, arrays
 
@@ -401,7 +419,10 @@ def _read_table(path: str) -> dict:
 
     The table is a JSON list of :func:`_table_entry` entries.  A file that
     cannot be read or parsed, or any entry that :func:`_parse_entry`
-    rejects, gives an empty table: every key then calibrates.
+    rejects, gives an empty table: every key then calibrates.  Every entry
+    is checked, but the shipped table's 112 entries hold 15 distinct
+    configs, and each is built and checked once per process
+    (:func:`_entry_config`): 1.6-3.6 ms became 0.6-1.6 ms per first read.
     """
     import json  # not at import: only a process that misses its memo reads the table
 
@@ -516,19 +537,31 @@ def _adopt_memo(memo: dict) -> None:
     _NULL_CACHE.update(memo)
 
 
+def _process_pool(workers: int, **kwargs):
+    # concurrent.futures.ProcessPoolExecutor, imported here: it loads 33
+    # modules (multiprocessing, logging, socket, subprocess, queue, ...) that
+    # a process which opens no pool never needs.  Tests replace it
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, **kwargs)
+
+
 def _pool_map(fn, items):
     """Yield ``fn(item)`` for each of ``items``, in order.
 
     The one place a process pool opens: over :func:`worker_count` workers
     for ``len(items)`` tasks (the platform's default start method), each
     starting with a copy of this process's threshold memo, or in-process
-    when that count is 1.  ``fn`` and every item must pickle.
+    when that count is 1.  ``fn`` and every item must pickle.  The pool
+    machinery (``concurrent.futures`` and ``multiprocessing``) is imported
+    only when a pool opens, so a one-worker call, a memo hit or a table hit
+    never loads it.
     """
     workers = worker_count(len(items))
     if workers == 1:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(workers, initializer=_adopt_memo, initargs=(dict(_NULL_CACHE),)) as pool:
+    with _process_pool(workers, initializer=_adopt_memo, initargs=(dict(_NULL_CACHE),)) as pool:
         yield from pool.map(fn, items)
 
 

@@ -36,5 +36,5 @@ def two_worker_rule(monkeypatch):
         opened.append(workers)
         return concurrent.futures.ProcessPoolExecutor(workers, **kwargs)
 
-    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(denoiser, "_process_pool", recording_pool)
     return opened

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mvdenoise import denoiser
-from mvdenoise.cli import MANIFEST_NAME, build_parser, main, read_csv
+from mvdenoise import cli, denoiser
+from mvdenoise.cli import MANIFEST_NAME, ParseFailure, build_parser, main, read_csv, write_csv
 from mvdenoise.denoiser import _scale_taus
 from mvdenoise.robustcov import mcd_estimate
 from mvdenoise.siggen import snr_db
@@ -274,10 +274,13 @@ def test_denoise_noise_free_steps_take_the_ridge(tmp_path):
     assert "minimal-determinant subset is rank deficient; adding ridge" in report["warnings"]
 
 
-@pytest.mark.parametrize("header", ["", "ch1,ch2\n"], ids=["no-header", "header"])
-def test_csv_byte_order_mark_keeps_every_row(tmp_path, header):
+@pytest.mark.parametrize(
+    "header, newline", [("", "\n"), ("ch1,ch2", "\n"), ("ch1,ch2", "\r\n")], ids=["no-header", "header", "header-crlf"]
+)
+def test_csv_byte_order_mark_keeps_every_row(tmp_path, header, newline):
     p = tmp_path / "bom.csv"
-    p.write_text(f"\ufeff{header}1.0,2.0\n3.0,4.0\n5.0,6.0\n", encoding="utf-8")
+    lines = [header] * bool(header) + ["1.0,2.0", "3.0,4.0", "5.0,6.0"]
+    p.write_bytes(("\ufeff" + newline.join(lines) + newline).encode("utf-8"))
     assert np.array_equal(read_csv(p), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 
@@ -303,6 +306,119 @@ def test_csv_ragged_rows_rejected(tmp_path):
     p.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(Exception, match="columns"):
         read_csv(p)
+
+
+# file text -> the fault read_csv names, after the path: the first in line order
+CSV_FAULTS = {
+    "ragged-before-non-numeric": ("1,2\n3\n4,x\n", "row 2 has 1 columns, expected 2"),
+    "non-numeric-before-ragged": ("1,2\n3,x\n4\n", "non-numeric cell at row 2, column 2"),
+    "header-wider-than-data": ("a,b,c\n1,2\n3,4\n", "row 1 is not numeric, and as a header it would have 2 cells, not 3"),
+    "header-narrower-than-data": ("a\n1,2\n3,4\n", "row 1 is not numeric, and as a header it would have 2 cells, not 1"),
+    "non-numeric-before-header-width": ("a,b,c\nx,2\n", "non-numeric cell at row 2, column 1"),
+    "ragged-after-header": ("a,b\n1,2\n3\n", "row 3 has 1 columns, expected 2"),
+    "second-non-numeric-line": ("a,b\nc,d\n1,2\n", "non-numeric cell at row 2, column 1"),
+    "bom-crlf": ("\ufeffa,b\r\n1,2\r\n3,x\r\n", "non-numeric cell at row 3, column 2"),
+    "comments-and-blanks-keep-line-numbers": ("# c\n\n1,2\n#\n  \n3\n", "row 6 has 1 columns, expected 2"),
+    "header-only": ("a,b\n", "no numeric rows found"),
+    "empty": ("", "no numeric rows found"),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_FAULTS))
+def test_csv_first_fault_is_named_in_line_order(tmp_path, capsys, case):
+    text, fault = CSV_FAULTS[case]
+    p = tmp_path / "x.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert run_cli(["gof", str(p), *FAST]) == 2
+    assert capsys.readouterr().err == f"parse error: {p}: {fault}\n"
+
+
+def line_by_line_read_csv(path):
+    # the parser read_csv's one-call conversion replaced: each row converted
+    # by float() as it is read.  The oracle of its values and of its faults
+    rows = []
+    header = None
+    text = path.read_text(encoding="utf-8-sig")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cells = [c.strip() for c in stripped.split(",")]
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            if not rows and header is None:
+                header = (lineno, len(cells))
+                continue
+            bad = next(i for i, c in enumerate(cells) if not is_float(c))
+            raise ParseFailure(f"{path}: non-numeric cell at row {lineno}, column {bad + 1}") from None
+        if len(rows) == 1 and header and header[1] != len(cells):
+            raise ParseFailure(f"{path}: row {header[0]} is not numeric, and as a header it would have {len(cells)} cells, not {header[1]}")
+        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            raise ParseFailure(f"{path}: row {lineno} has {len(rows[-1])} columns, expected {len(rows[0])}")
+    if not rows:
+        raise ParseFailure(f"{path}: no numeric rows found")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def is_float(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+def parse_outcome(parse, path):
+    try:
+        data = parse(path)
+    except ParseFailure as exc:
+        return str(exc)
+    return data.shape, data.tobytes()
+
+
+def test_read_csv_matches_the_line_by_line_parser(tmp_path):
+    # random small files of numbers in every form float() reads, the odd
+    # cell it rejects, ragged rows, headers, comments, blank lines, a BOM
+    # and CRLF: the same values bit for bit, or the same first fault
+    numbers = ["1", "-0", "2.5e-3", "1_0", "\u0661\u0662", "infinity", "-inf", "nan", "+.5", "1e400", "1e-400", " 7 ", "\t8", "\u20039\u3000",
+               "0.1", "4.9406564584124654e-324", "123456789012345678901234567890"]
+    faults = ["x", "", "0x10", "5d", "1.0.0", "1 2"]
+    rng = np.random.default_rng(31)
+    p = tmp_path / "x.csv"
+    for _ in range(400):
+        width = int(rng.integers(1, 4))
+        lines = ["ch," * (width - 1) + "ch"] if rng.random() < 0.3 else []
+        for _ in range(int(rng.integers(0, 6))):
+            kind = rng.random()
+            if kind < 0.08:
+                lines.append("# comment" if kind < 0.04 else " ")
+                continue
+            count = width if rng.random() < 0.93 else int(rng.integers(1, 5))  # ragged at times
+            lines.append(",".join(rng.choice(faults) if rng.random() < 0.02 else rng.choice(numbers) for _ in range(count)))
+        newline = "\r\n" if rng.random() < 0.3 else "\n"
+        p.write_bytes((("\ufeff" if rng.random() < 0.3 else "") + newline.join(lines) + newline).encode("utf-8"))
+        assert parse_outcome(read_csv, p) == parse_outcome(line_by_line_read_csv, p), p.read_text(encoding="utf-8")
+
+
+# the edges of float64 and values whose shortest repr is not their 17-digit text
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1 / 3, 2.0**53, 2.0**53 + 2, 1e22,
+               123456789012345678.0, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("shape", [(12,), (12, 1), (4, 3), (1, 12)], ids=lambda s: "x".join(map(str, s)))
+def test_write_csv_writes_each_value_as_format_17g_and_reads_back_bit_for_bit(tmp_path, monkeypatch, shape):
+    data = np.array(EDGE_VALUES).reshape(shape)
+    rows = np.atleast_2d(data)
+    expected = f"# manifest: {MANIFEST_NAME}\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    p = tmp_path / "x.csv"
+    # in one chunk, and in chunks of a few rows with a short last one
+    for chunk_cells in (cli._WRITE_CHUNK_CELLS, 5):
+        monkeypatch.setattr(cli, "_WRITE_CHUNK_CELLS", chunk_cells)
+        write_csv(p, data)
+        assert p.read_bytes() == expected.encode("utf-8")
+    back = read_csv(p)
+    assert back.shape == rows.shape and back.tobytes() == rows.tobytes()
 
 
 # --------------------------------------------------------------------- gof

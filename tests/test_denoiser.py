@@ -354,7 +354,7 @@ def test_memo_hit_opens_no_pool(monkeypatch, two_worker_rule):
     _NULL_CACHE.clear()
     first = calibrate_thresholds(3, 1024, cfg)
     assert two_worker_rule == [2]
-    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(denoiser, "_process_pool", no_pool)
     again = calibrate_thresholds(3, 1024, cfg)
     assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
 
@@ -365,11 +365,15 @@ def test_calibration_in_a_pool_worker_runs_serially(monkeypatch, two_worker_rule
     cfg = DenoiseConfig(calibration_reps=300)
     monkeypatch.setenv("MVDENOISE_THREADS", "2")
     assert worker_count(3) == 2
-    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(denoiser, "_process_pool", no_pool)
     _NULL_CACHE.clear()  # the worker starts with no memo entry
     with concurrent.futures.ProcessPoolExecutor(1) as pool:
         assert pool.submit(worker_count, 3).result(timeout=60) == 1
         in_worker = pool.submit(calibrate_thresholds, 3, 1024, cfg).result(timeout=120)
+    # a spawned worker imports the package afresh, and is a worker all the same
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(worker_count, 3).result(timeout=60) == 1
+    assert worker_count(3) == 2
     monkeypatch.setenv("MVDENOISE_THREADS", "1")
     _NULL_CACHE.clear()
     threshold_store()  # the worker's calibration filled the first store
@@ -391,7 +395,7 @@ def test_pool_workers_start_with_the_callers_memo(monkeypatch, two_worker_rule):
     }
     monkeypatch.setattr(denoiser, "_NULL_CACHE", memo)
     spawn = partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(denoiser, "ProcessPoolExecutor", spawn)
+    monkeypatch.setattr(denoiser, "_process_pool", spawn)
     assert worker_count(2) == 2
     held = list(denoiser._pool_map(memo_held, [0, 1]))
     for pid, worker_memo in held:
@@ -510,10 +514,12 @@ def broken_tables(key, fresh):
         "no-window": [wrong, {**table_entry(other, [1.0] * 5, [0.5] * 5), "config": {}}],
         "unknown-field": [wrong, {**table_entry(other, [1.0] * 5, [0.5] * 5), "config": {"window_l": 28, "wavelet": "db8"}}],
         "not-a-list": {"entries": [wrong]},
+        # equal to the window of the entry before it, but not an integer
+        "float-window": [wrong, {**table_entry(other, [1.0] * 5, [0.5] * 5), "config": {"window_l": 28.0}}],
     }
 
 
-@pytest.mark.parametrize("case", ["missing", "invalid-json", "wrong-length", "no-window", "unknown-field", "not-a-list"])
+@pytest.mark.parametrize("case", ["missing", "invalid-json", "wrong-length", "no-window", "unknown-field", "not-a-list", "float-window"])
 def test_unreadable_table_falls_back_to_calibration(tmp_path, monkeypatch, threshold_store, case):
     key = denoiser._memo_key(1, 256, DenoiseConfig())
     monkeypatch.setenv("MVDENOISE_THREADS", "1")

@@ -2,8 +2,9 @@
 private module-level name of the package is read somewhere in it, every
 parameter of a package function is read in its body, every
 Sphinx cross-reference in a package docstring names something that exists,
-the command line neither imports scipy or mpmath nor needs them, importing
-it reads no threshold table, every
+the command line neither imports scipy or mpmath nor needs them, a call
+that opens no pool loads no pool machinery, importing it reads no threshold
+table, every
 program name the benchmark's tracer reaches into and every output field its
 harness reads exist, and every Python file of the repository parses as the oldest
 supported Python (``requires-python``).
@@ -206,13 +207,35 @@ def test_detector_flags_an_unresolved_reference():
     assert unresolved_references(source) == {"_made_up", "Runner.stop", "helper_too"}
 
 
-def test_cli_does_not_import_scipy_stats():
-    # scipy.stats costs every CLI process about 0.3 s and 40 MB at import
-    code = "import mvdenoise.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+# imports the CLI, runs argv[1:] through it when given, and prints the loaded
+# modules that a call opening no pool never needs
+_LOADED_BY_CALL = """
+import sys
+
+from mvdenoise.cli import main
+
+if len(sys.argv) > 1 and main(sys.argv[1:]) != 0:
+    sys.exit("the call failed")
+unneeded = ("multiprocessing", "concurrent.futures", "scipy.stats")
+print(sorted(m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in unneeded)))
+"""
+
+
+@pytest.mark.parametrize("command", [None, "denoise", "gof"], ids=["import", "denoise", "gof"])
+def test_cli_loads_neither_scipy_stats_nor_the_pool_machinery(tmp_path, command):
+    # scipy.stats costs every CLI process about 0.3 s and 40 MB at import; the
+    # pool machinery (concurrent.futures, multiprocessing, and the logging,
+    # socket and queue modules under them) loads only when a pool opens, so
+    # a one-worker denoise or gof never loads it
+    argv = []
+    if command is not None:
+        shape = (2048, 3) if command == "denoise" else (512, 4)
+        np.savetxt(tmp_path / "x.csv", np.random.default_rng(0).standard_normal(shape), delimiter=",")
+        argv = [command, str(tmp_path / "x.csv")] + (["--out", str(tmp_path)] if command == "denoise" else ["--json"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), MVDENOISE_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_CALL, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 # imports the CLI and prints whether the threshold table was read or opened

@@ -194,7 +194,7 @@ def test_mcd_overflowing_covariance_is_refused(scale):
             mcd_estimate(x * scale)
 
 
-@pytest.mark.parametrize("n", [512, 1024], ids=["whole-block", "nested"])
+@pytest.mark.parametrize("n", [512, 1024], ids=["n512", "n1024"])
 def test_mcd_exact_fit_takes_the_ridge(n):
     # three independent nonzero rows: the block has full rank, but the
     # minimal-determinant subset is all zeros (an exact fit)
