@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import hashlib
 import itertools
 import json
 import sys
@@ -34,6 +33,7 @@ from . import __version__
 from .denoiser import (
     DenoiseConfig,
     _pool_map,
+    _replication_values,
     _scale_taus,
     baseline_universal,
     calibrate_thresholds,
@@ -152,6 +152,8 @@ def write_csv(path, data) -> None:
 
 
 def _digest(arr: np.ndarray) -> str:
+    import hashlib  # here, not at the top: _hashlib loads OpenSSL, 2-6 ms a gof never uses
+
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
@@ -353,6 +355,8 @@ def _benchmark_cell(params):
 
 
 def hash_str(s: str) -> int:
+    import hashlib  # see _digest
+
     return int.from_bytes(hashlib.sha256(s.encode()).digest()[:4], "big")
 
 
@@ -373,7 +377,8 @@ def cmd_benchmark(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
 
-    channel_counts = sorted({_named_signal(name, args.n).n_channels for name in signals})
+    channels = {name: _named_signal(name, args.n).n_channels for name in signals}
+    channel_counts = sorted(set(channels.values()))
     for m, rho, snr_spec in itertools.product(channel_counts, rhos, snrs):
         spec = NoiseSpec(m, rho, snr_spec)
         try:
@@ -398,7 +403,11 @@ def cmd_benchmark(args) -> int:
         (sig_name, args.n, method, rho, snr_spec, np.isscalar(snr_spec), rep, args.seed, cfg)
         for sig_name, snr_spec, rho, method, rep in itertools.product(signals, snrs, rhos, methods, range(args.seeds))
     ]
-    results = [row for rows in _pool_map(_benchmark_cell, cells) for row in rows]
+    # a cell costs about one calibration replication of its key, so the pool
+    # is sized by the window values the cells score (a baseline cell counted
+    # as an MGWD one), not by how many cells there are
+    values = sum(_replication_values(channels[cell[0]], args.n, cfg) for cell in cells)
+    results = [row for rows in _pool_map(_benchmark_cell, cells, values) for row in rows]
 
     extra = {"seed": args.seed, "signals": signals, "rhos": rhos, "methods": methods, "snrs": str(snrs), "reps": args.seeds, "warnings": warned}
     write_manifest(out_dir, "benchmark", cfg, _digest(np.array([float(len(cells))])), extra=extra)

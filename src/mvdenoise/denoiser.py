@@ -192,9 +192,14 @@ def _scale_taus(details, sigmas, window: int) -> list:
     return [_tau_from_logs(f, g, window + 1) for f, g in zip(np.split(lf, ends, axis=1), np.split(l1f, ends, axis=1))]
 
 
+def _replication_values(m: int, n_samples: int, config: DenoiseConfig) -> int:
+    # window values one replication scores, N (window + 1) / 2: what batches and matrix cells are measured in
+    return max(n_samples * (config.window_size(m) + 1) // 2, 1)
+
+
 def _batch_reps(m: int, n_samples: int, config: DenoiseConfig) -> int:
     # replications per calibration batch: see _CAL_CHUNK_VALUES
-    return max(1, _CAL_CHUNK_VALUES // max(n_samples * (config.window_size(m) + 1) // 2, 1))
+    return max(1, _CAL_CHUNK_VALUES // _replication_values(m, n_samples, config))
 
 
 def _null_tau_pool(m: int, n_samples: int, config: DenoiseConfig, child_seeds):
@@ -303,8 +308,12 @@ def worker_rule(environ, cores: int, jobs: int, in_worker: bool) -> int:
     BLAS thread variables say (:func:`calibrate_thresholds` has timings).
     The count is capped at ``cores`` and at ``jobs``: a pool starts all its
     processes at once, and a worker beyond either has no core or no task.
-    A process that is itself a worker (``in_worker``) always gets 1, so
-    pools never nest.
+    ``jobs`` counts work, not items, in units of one calibration batch's
+    window values (``_CAL_CHUNK_VALUES``): calibration passes its batch
+    count, each batch being at most one unit, and the ``benchmark`` matrix
+    its cells' window values in units (:func:`_pool_map`), so a matrix
+    whose cells add up to one unit runs in-process.  A process that is
+    itself a worker (``in_worker``) always gets 1, so pools never nest.
     """
     if in_worker:
         return 1
@@ -546,18 +555,26 @@ def _process_pool(workers: int, **kwargs):
     return ProcessPoolExecutor(workers, **kwargs)
 
 
-def _pool_map(fn, items):
+def _pool_map(fn, items, values=None):
     """Yield ``fn(item)`` for each of ``items``, in order.
 
     The one place a process pool opens: over :func:`worker_count` workers
-    for ``len(items)`` tasks (the platform's default start method), each
-    starting with a copy of this process's threshold memo, or in-process
-    when that count is 1.  ``fn`` and every item must pickle.  The pool
-    machinery (``concurrent.futures`` and ``multiprocessing``) is imported
-    only when a pool opens, so a one-worker call, a memo hit or a table hit
-    never loads it.
+    (the platform's default start method), each starting with a copy of
+    this process's threshold memo and fed one item at a time, or
+    in-process when that count is 1.  The rule's ``jobs`` is
+    ``len(items)`` when ``values`` is None, as for calibration's batches;
+    otherwise it is ``values``, the window values all the items score
+    (:func:`_replication_values` each for a ``benchmark`` cell), in units
+    of ``_CAL_CHUNK_VALUES`` rounded up, and at most ``len(items)``.  A
+    pool's first task in each worker costs tens of milliseconds of set-up,
+    more than a 2048-row cell, so items that add up to one unit of work run
+    in-process whatever their count.  ``fn`` and every item must pickle.
+    The pool machinery (``concurrent.futures`` and ``multiprocessing``) is
+    imported only when a pool opens, so a one-worker call, a memo hit or a
+    table hit never loads it.
     """
-    workers = worker_count(len(items))
+    jobs = len(items) if values is None else min(len(items), -(-values // _CAL_CHUNK_VALUES))
+    workers = worker_count(jobs)
     if workers == 1:
         yield from map(fn, items)
         return

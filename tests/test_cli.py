@@ -508,7 +508,7 @@ def test_gof_pfa_out_of_range_is_usage_error(tmp_path):
 # --------------------------------------------------------------- benchmark
 
 
-def bench_args(out, seeds=2, methods="mgwd,baseline"):
+def bench_args(out, seeds=2, methods="mgwd,baseline", n=1024):
     return [
         "benchmark",
         "--signals", "heavydoppler3",
@@ -516,11 +516,17 @@ def bench_args(out, seeds=2, methods="mgwd,baseline"):
         "--rhos", "0",
         "--methods", methods,
         "--seeds", str(seeds),
-        "--n", "1024",
+        "--n", str(n),
         "--out", str(out),
         "--seed", "11",
         *FAST,
     ]
+
+
+# A matrix past one unit of work: 36 cells of 4096 rows score 36 x 174,080
+# window values, more than a calibration batch's 6e6, so the cells get a pool
+# of their own.  bench_args' default 8 cells of 1024 rows score 348,160.
+PAST_ONE_UNIT = {"seeds": 9, "n": 4096}
 
 
 def test_benchmark_row_cardinality_and_aggregate(tmp_path):
@@ -574,10 +580,10 @@ def test_benchmark_deterministic_bytes(tmp_path):
 def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch, threshold_store):
     serial, parallel = tmp_path / "s", tmp_path / "p"
     monkeypatch.setenv("MVDENOISE_THREADS", "1")
-    assert run_cli(bench_args(serial)) == 0
+    assert run_cli(bench_args(serial, **PAST_ONE_UNIT)) == 0
     threshold_store()  # the parallel run calibrates too
     env = dict(os.environ, MVDENOISE_THREADS="2", PYTHONPATH=os.pathsep.join(sys.path))
-    cmd = [sys.executable, "-m", "mvdenoise.cli", *bench_args(parallel)]
+    cmd = [sys.executable, "-m", "mvdenoise.cli", *bench_args(parallel, **PAST_ONE_UNIT)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
@@ -601,14 +607,38 @@ def test_benchmark_opens_its_pools_through_the_denoiser(tmp_path, monkeypatch, t
     # one pool calibrates the key and one runs the cells; every results.csv
     # byte is the one-worker run's
     denoiser._NULL_CACHE.clear()  # calibrate afresh, as a new process would
-    assert run_cli(bench_args(tmp_path / "p")) == 0
+    assert run_cli(bench_args(tmp_path / "p", **PAST_ONE_UNIT)) == 0
     assert two_worker_rule == [2, 2]
     monkeypatch.setenv("MVDENOISE_THREADS", "1")
     denoiser._NULL_CACHE.clear()
     threshold_store()
-    assert run_cli(bench_args(tmp_path / "s")) == 0
+    assert run_cli(bench_args(tmp_path / "s", **PAST_ONE_UNIT)) == 0
     assert two_worker_rule == [2, 2]  # a count of 1 opens no pool
     assert (tmp_path / "p" / "results.csv").read_bytes() == (tmp_path / "s" / "results.csv").read_bytes()
+
+
+def test_benchmark_under_one_unit_of_work_runs_its_cells_in_process(tmp_path, two_worker_rule):
+    # 8 cells of 1024 rows: the pool would cost more than the cells, so only
+    # a cold calibration opens one, and a memo hit opens none at all
+    denoiser._NULL_CACHE.clear()
+    assert run_cli(bench_args(tmp_path / "cold")) == 0
+    assert two_worker_rule == [2]
+    assert run_cli(bench_args(tmp_path / "hit")) == 0
+    assert two_worker_rule == [2]
+    assert (tmp_path / "cold" / "results.csv").read_bytes() == (tmp_path / "hit" / "results.csv").read_bytes()
+
+
+def test_benchmark_past_one_unit_of_work_gets_a_pool_for_its_cells(tmp_path, monkeypatch, two_worker_rule):
+    # with the key in the memo, the one pool opened runs the cells, and its
+    # results.csv is the one-worker run's byte for byte
+    monkeypatch.setenv("MVDENOISE_THREADS", "1")
+    assert run_cli(bench_args(tmp_path / "s", **PAST_ONE_UNIT)) == 0
+    assert two_worker_rule == []
+    monkeypatch.delenv("MVDENOISE_THREADS")
+    assert run_cli(bench_args(tmp_path / "p", **PAST_ONE_UNIT)) == 0
+    assert two_worker_rule == [2]
+    for name in ("results.csv", "aggregate.csv", "aggregate.txt"):
+        assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "s" / name).read_bytes(), name
 
 
 def no_calibration(*args):

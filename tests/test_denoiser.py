@@ -291,6 +291,18 @@ def test_worker_rule_rejects_a_bad_count(value):
         worker_rule({"MVDENOISE_THREADS": value}, 8, 15, False)
 
 
+def test_pool_map_sizes_its_pool_by_work_in_batch_units(two_worker_rule):
+    # items whose window values add up to one calibration batch run
+    # in-process, however many there are; one value more is two tasks
+    unit = denoiser._CAL_CHUNK_VALUES
+    assert list(denoiser._pool_map(abs, range(-64, 0), unit)) == list(range(64, 0, -1))
+    assert two_worker_rule == []
+    assert list(denoiser._pool_map(abs, [-1, -2, -3], unit + 1)) == [1, 2, 3]
+    assert two_worker_rule == [2]
+    assert list(denoiser._pool_map(abs, [-1], 100 * unit)) == [1]  # capped at the items
+    assert two_worker_rule == [2]
+
+
 def test_default_environment_gets_a_worker_per_core(monkeypatch, two_worker_rule):
     # no MVDENOISE_THREADS and no BLAS variable: what a user gets by default
     for var in BLAS_THREAD_VARS:

@@ -208,7 +208,7 @@ def test_detector_flags_an_unresolved_reference():
 
 
 # imports the CLI, runs argv[1:] through it when given, and prints the loaded
-# modules that a call opening no pool never needs
+# modules that a call opening no pool never needs, then whether hashlib is loaded
 _LOADED_BY_CALL = """
 import sys
 
@@ -218,6 +218,7 @@ if len(sys.argv) > 1 and main(sys.argv[1:]) != 0:
     sys.exit("the call failed")
 unneeded = ("multiprocessing", "concurrent.futures", "scipy.stats")
 print(sorted(m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in unneeded)))
+print("hashlib" in sys.modules)
 """
 
 
@@ -226,7 +227,9 @@ def test_cli_loads_neither_scipy_stats_nor_the_pool_machinery(tmp_path, command)
     # scipy.stats costs every CLI process about 0.3 s and 40 MB at import; the
     # pool machinery (concurrent.futures, multiprocessing, and the logging,
     # socket and queue modules under them) loads only when a pool opens, so
-    # a one-worker denoise or gof never loads it
+    # a one-worker denoise or gof never loads it.  Only a call that writes a
+    # manifest digests its input: gof loads no hashlib (_hashlib loads OpenSSL,
+    # 2 to 6 ms)
     argv = []
     if command is not None:
         shape = (2048, 3) if command == "denoise" else (512, 4)
@@ -235,7 +238,9 @@ def test_cli_loads_neither_scipy_stats_nor_the_pool_machinery(tmp_path, command)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), MVDENOISE_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _LOADED_BY_CALL, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    *_, unneeded, hashlib_loaded = proc.stdout.strip().splitlines()
+    assert unneeded == "[]"
+    assert hashlib_loaded == str(command == "denoise")
 
 
 # imports the CLI and prints whether the threshold table was read or opened

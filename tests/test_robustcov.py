@@ -273,7 +273,7 @@ def test_batched_concentration_step_matches_loop():
         assert np.allclose(new[t], stack[b][rows].T @ stack[b][rows] / h, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("n", [500, 2000], ids=["elemental", "nested"])
+@pytest.mark.parametrize("n", [500, 2000], ids=["n500", "n2000"])
 def test_mcd_affine_equivariant(n):
     # the starts and C-steps are affine equivariant at every block size:
     # sigma_hat(X A^T) = A sigma_hat(X) A^T
@@ -293,7 +293,7 @@ def test_mcd_resists_twenty_percent_shifted_rows():
     assert np.abs(est.sigma - np.eye(3)).max() < 0.25
 
 
-@pytest.mark.parametrize("n", [512, 2000], ids=["elemental", "nested"])
+@pytest.mark.parametrize("n", [512, 2000], ids=["n512", "n2000"])
 def test_mcd_resists_forty_percent_shifted_rows_at_four_channels(n):
     # 40 % of the rows shifted by 8 sigma along a common direction; with
     # FAST-MCD's 500 random starts the error was 0.151 (512 rows) and 0.086
@@ -407,7 +407,7 @@ def test_stacked_fit_splits_long_blocks_as_a_lone_fit_does():
         assert _same_fit(fit, mcd_estimate(rows[:, j]))
 
 
-@pytest.mark.parametrize("n", [400, 1024], ids=["elemental", "nested"])
+@pytest.mark.parametrize("n", [400, 1024], ids=["n400", "n1024"])
 def test_stacked_fit_ridges_only_its_rank_deficient_block(n):
     rows = np.random.default_rng([26, n]).standard_normal((n, 3, 2))
     rows[:, 1, 1] = 2.0 * rows[:, 1, 0]  # linearly dependent channels
